@@ -51,6 +51,15 @@ inline void PutBytes(std::string& out, std::string_view s) {
   out.append(s.data(), s.size());
 }
 
+// Format of a component checkpoint blob, numbered after the service
+// checkpoint version that introduced it. Components whose wire layout
+// changed take the format they are reading, so older blobs stay readable
+// through the same restore code.
+enum class BlobFormat : std::uint8_t {
+  kV1 = 1,  // record arenas from handle 0; no estimator bootstrap
+  kV2 = 2,  // record windows with their base; estimator bootstrap saved
+};
+
 struct Reader {
   std::string_view bytes;
   std::size_t pos = 0;
@@ -111,6 +120,12 @@ struct Reader {
   }
 
   bool AtEnd() const { return pos == bytes.size(); }
+
+  // Whether `n` more elements of at least one byte each can still follow:
+  // decoders check a count against this before allocating for it.
+  bool CanHold(std::uint64_t n) const {
+    return ok && n <= bytes.size() - pos;
+  }
 };
 
 }  // namespace anc::ser

@@ -332,9 +332,9 @@ void CollisionAwareEngine::EmitResolve(
 void CollisionAwareEngine::DrainCascade() {
   // Cascade resolution: every newly learned ID may unlock records, whose
   // resolved IDs may unlock further records (Fig. 1).
-  while (!cascade_queue_.empty()) {
-    const auto [tag, via_collision] = cascade_queue_.front();
-    cascade_queue_.pop_front();
+  // LearnId appends while this walks, so index (not iterate) the queue.
+  for (std::size_t next = 0; next < cascade_queue_.size(); ++next) {
+    const auto [tag, via_collision] = cascade_queue_[next];
     tracker_.OnIdKnown(tag, phy_, &resolutions_);
     for (const auto& res : resolutions_) {
       ++resolved_this_slot_;
@@ -342,6 +342,7 @@ void CollisionAwareEngine::DrainCascade() {
       LearnId(res.id, true);
     }
   }
+  cascade_queue_.clear();
   // Records whose retry budget ran out during the cascade were already
   // closed by the tracker; surface them in the metrics and the trace.
   DrainRetryAbandoned();
@@ -605,31 +606,37 @@ void CollisionAwareEngine::SaveEngineState(std::string* out) const {
   sim::PutRunMetrics(*out, metrics_);
 }
 
-bool CollisionAwareEngine::RestoreEngineState(anc::ser::Reader& r) {
+bool CollisionAwareEngine::RestoreEngineState(anc::ser::Reader& r,
+                                              ser::BlobFormat format) {
   if (!ReadPcg32(r, rng_)) return false;
-  active_.assign(static_cast<std::size_t>(r.Varint()), 0);
+  const std::uint64_t n_active = r.Varint();
+  if (n_active > population_.size()) return false;
+  active_.assign(static_cast<std::size_t>(n_active), 0);
   for (std::uint32_t& tag : active_) {
     tag = static_cast<std::uint32_t>(r.Varint());
+    if (tag >= population_.size()) return false;
   }
   if (static_cast<std::size_t>(r.Varint()) != pos_in_active_.size()) {
     return false;  // universe size mismatch: wrong configuration
   }
   for (std::uint32_t& pos : pos_in_active_) {
     pos = static_cast<std::uint32_t>(r.Varint());
+    if (pos != kNotActive && pos >= active_.size()) return false;
   }
   if (static_cast<std::size_t>(r.Varint()) != read_.size()) return false;
   for (std::size_t i = 0; i < read_.size(); ++i) read_[i] = r.Bool();
   for (std::size_t i = 0; i < present_.size(); ++i) present_[i] = r.Bool();
-  if (!tracker_.RestoreState(r)) return false;
-  if (!estimator_.RestoreState(r)) return false;
+  if (!tracker_.RestoreState(r, format)) return false;
+  if (!estimator_.RestoreState(r, format)) return false;
   const bool has_fault = r.Bool();
   if (has_fault != (fault_ != nullptr)) return false;  // config mismatch
-  if (fault_ && !fault_->RestoreState(r)) return false;
+  if (fault_ && !fault_->RestoreState(r, format)) return false;
   cascade_queue_.clear();
   const auto n_cascade = static_cast<std::size_t>(r.Varint());
   for (std::size_t i = 0; i < n_cascade && r.ok; ++i) {
     const auto tag = static_cast<std::uint32_t>(r.Varint());
     const bool from_collision = r.Bool();
+    if (tag >= population_.size()) return false;
     cascade_queue_.emplace_back(tag, from_collision);
   }
   slot_index_ = r.Varint();

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -99,9 +98,10 @@ class CollisionAwareEngine : public sim::Protocol {
   // the engine serializes only its own mutable state — the phy it runs
   // over is an external reference, and the owning protocol (Fcat/Scat)
   // pairs the two blobs and implements the Protocol-level hooks. Must be
-  // called between Step()s (per-step scratch is empty then).
+  // called between Step()s (per-step scratch is empty then). `format` is
+  // the format the blob was written in.
   void SaveEngineState(std::string* out) const;
-  bool RestoreEngineState(anc::ser::Reader& r);
+  bool RestoreEngineState(anc::ser::Reader& r, ser::BlobFormat format);
 
   // Introspection for tests and the estimator benches.
   double EstimatedTotal() const;
@@ -111,6 +111,11 @@ class CollisionAwareEngine : public sim::Protocol {
   // Fault-layer counters; null when no fault channel is configured.
   const fault::FaultCounters* fault_counters() const {
     return fault_ ? &fault_->counters() : nullptr;
+  }
+  const RecordTracker& tracker() const { return tracker_; }
+  // The bounded record store's ledger; null without a fault channel.
+  const fault::RecordLedger* ledger() const {
+    return fault_ ? &fault_->ledger() : nullptr;
   }
 
  private:
@@ -166,8 +171,10 @@ class CollisionAwareEngine : public sim::Protocol {
   std::vector<phy::RecordHandle> expired_;  // TTL scratch, reused per frame
   // Pending newly-known tags, with whether each was itself recovered from
   // a collision record (those mark their downstream resolutions as
-  // cascade ops in the trace).
-  std::deque<std::pair<std::uint32_t, bool>> cascade_queue_;
+  // cascade ops in the trace). A FIFO that DrainCascade always empties,
+  // so a vector walked front to back and then cleared serves, and keeps
+  // its capacity from slot to slot.
+  std::vector<std::pair<std::uint32_t, bool>> cascade_queue_;
   trace::TraceContext trace_;
 
   std::vector<std::uint32_t> participants_;    // reused per slot

@@ -12,7 +12,9 @@ EmbeddedEstimator::EmbeddedEstimator(std::uint64_t frame_size, double omega,
     : frame_size_(frame_size),
       omega_(omega),
       bootstrap_total_(std::max(initial_total, 1.0)),
-      window_(window) {}
+      window_(window) {
+  recent_.reserve(window_);
+}
 
 void EmbeddedEstimator::Update(std::uint64_t nc, double p_effective,
                                std::uint64_t acked_at_frame_start) {
@@ -31,11 +33,15 @@ void EmbeddedEstimator::Update(std::uint64_t nc, double p_effective,
   if (window_ == 0) {
     samples_.Add(total);
   } else {
-    recent_.push_back(total);
+    // Same sum order as a push-then-evict queue: add the new estimate,
+    // then subtract the one it displaces.
     recent_sum_ += total;
-    if (recent_.size() > window_) {
-      recent_sum_ -= recent_.front();
-      recent_.pop_front();
+    if (recent_.size() < window_) {
+      recent_.push_back(total);
+    } else {
+      recent_sum_ -= recent_[recent_oldest_];
+      recent_[recent_oldest_] = total;
+      recent_oldest_ = (recent_oldest_ + 1) % window_;
     }
   }
   // An informative frame is fresher evidence than any floor raised during

@@ -14,8 +14,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <vector>
 
 #include "common/serialize.h"
 #include "common/stats.h"
@@ -54,23 +54,31 @@ class EmbeddedEstimator {
   void RaiseBacklogFloor(std::uint64_t acked_now, double minimum);
 
   // Checkpoint hooks (common/serialize.h wire format): the running
-  // average (all-time or windowed) plus the probe floor; frame size,
-  // omega, bootstrap and window are construction parameters.
+  // average (all-time or windowed), the probe floor and the bootstrap
+  // that saturated frames ramp up; frame size, omega and window are
+  // construction parameters. kV1 blobs predate the saved bootstrap and
+  // leave the constructed value in place.
   void SaveState(std::string* out) const {
+    ser::PutF64(*out, bootstrap_total_);
     ser::PutF64(*out, floor_total_);
     ser::PutVarint(*out, informative_frames_);
     anc::PutRunningStats(*out, samples_);
     ser::PutVarint(*out, recent_.size());
-    for (double v : recent_) ser::PutF64(*out, v);
+    for (std::size_t i = 0; i < recent_.size(); ++i) {
+      ser::PutF64(*out, recent_[(recent_oldest_ + i) % recent_.size()]);
+    }
     ser::PutF64(*out, recent_sum_);
   }
-  bool RestoreState(ser::Reader& r) {
+  bool RestoreState(ser::Reader& r, ser::BlobFormat format) {
+    if (format != ser::BlobFormat::kV1) bootstrap_total_ = r.F64();
     floor_total_ = r.F64();
     informative_frames_ = static_cast<std::size_t>(r.Varint());
     if (!anc::ReadRunningStats(r, samples_)) return false;
-    const auto n = static_cast<std::size_t>(r.Varint());
+    const std::uint64_t n = r.Varint();
+    if (n > window_) return false;
     recent_.clear();
-    for (std::size_t i = 0; i < n && r.ok; ++i) recent_.push_back(r.F64());
+    recent_oldest_ = 0;
+    for (std::uint64_t i = 0; i < n && r.ok; ++i) recent_.push_back(r.F64());
     recent_sum_ = r.F64();
     return r.ok;
   }
@@ -83,7 +91,10 @@ class EmbeddedEstimator {
   std::size_t window_;
   std::size_t informative_frames_ = 0;
   RunningStats samples_;              // all-time average (window_ == 0)
-  std::deque<double> recent_;         // windowed average (window_ > 0)
+  // Windowed average (window_ > 0): a ring of the last window_ estimates,
+  // reserved at construction so frame updates never allocate.
+  std::vector<double> recent_;
+  std::size_t recent_oldest_ = 0;     // ring index of the oldest estimate
   double recent_sum_ = 0.0;
 };
 

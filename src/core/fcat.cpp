@@ -41,6 +41,48 @@ CollisionAwareConfig EngineConfig(const ScatOptions& o) {
   return c;
 }
 
+// Checkpoint blob shared by Fcat and Scat: the IdealPhy and engine blobs,
+// length-prefixed, then the blob format. Blobs from checkpoint v1 end
+// after the engine blob; they restore as ser::BlobFormat::kV1.
+void SaveIdealEngine(const phy::IdealPhy& phy,
+                     const CollisionAwareEngine& engine, std::string* out) {
+  std::string blob;
+  phy.SaveState(&blob);
+  ser::PutBytes(*out, blob);
+  blob.clear();
+  engine.SaveEngineState(&blob);
+  ser::PutBytes(*out, blob);
+  ser::PutVarint(*out, static_cast<std::uint64_t>(ser::BlobFormat::kV2));
+}
+
+bool RestoreIdealEngine(std::string_view bytes, phy::IdealPhy& phy,
+                        CollisionAwareEngine& engine) {
+  ser::Reader r{bytes};
+  ser::Reader phy_r{r.Bytes()};
+  ser::Reader eng_r{r.Bytes()};
+  const std::uint64_t version =
+      r.AtEnd() ? static_cast<std::uint64_t>(ser::BlobFormat::kV1)
+                : r.Varint();
+  if (!r.ok || !r.AtEnd() ||
+      (version != static_cast<std::uint64_t>(ser::BlobFormat::kV1) &&
+       version != static_cast<std::uint64_t>(ser::BlobFormat::kV2))) {
+    return false;
+  }
+  const auto format = static_cast<ser::BlobFormat>(version);
+  if (!phy.RestoreState(phy_r, format) || !phy_r.AtEnd() ||
+      !engine.RestoreEngineState(eng_r, format) || !eng_r.AtEnd()) {
+    return false;
+  }
+  // The tracker and ledger only hold handles the phy has issued, so their
+  // windows end at or below the phy's next handle. A blob whose windows
+  // run past it would have the next collision's handle land below their
+  // base.
+  const std::uint32_t phy_end = phy.window_end().index();
+  const fault::RecordLedger* ledger = engine.ledger();
+  return engine.tracker().window_end().index() <= phy_end &&
+         (ledger == nullptr || ledger->window_end().index() <= phy_end);
+}
+
 CollisionAwareConfig EngineConfig(const FcatSignalOptions& o) {
   CollisionAwareConfig c;
   c.lambda = o.lambda;
@@ -79,6 +121,14 @@ Fcat::Fcat(std::span<const TagId> population, anc::Pcg32 rng,
            rng.Split()),
       engine_(FcatName(options.lambda) + FaultSuffix(options.fault),
               population, phy_, EngineConfig(options), rng) {}
+
+void Fcat::SaveState(std::string* out) const {
+  SaveIdealEngine(phy_, engine_, out);
+}
+
+bool Fcat::RestoreState(std::string_view bytes) {
+  return RestoreIdealEngine(bytes, phy_, engine_);
+}
 
 CollisionAwareConfig Scat::BuildConfig(std::span<const TagId> population,
                                        anc::Pcg32& rng,
@@ -127,6 +177,14 @@ const sim::RunMetrics& Scat::metrics() const {
   merged_metrics_.collision_slots += prestep_metrics_.collision_slots;
   merged_metrics_.elapsed_seconds += prestep_metrics_.elapsed_seconds;
   return merged_metrics_;
+}
+
+void Scat::SaveState(std::string* out) const {
+  SaveIdealEngine(phy_, engine_, out);
+}
+
+bool Scat::RestoreState(std::string_view bytes) {
+  return RestoreIdealEngine(bytes, phy_, engine_);
 }
 
 FcatOnSignal::FcatOnSignal(std::span<const TagId> population, anc::Pcg32 rng,

@@ -83,29 +83,15 @@ class Fcat final : public sim::Protocol {
     return engine_.BeginInventoryRound(refresh);
   }
   const CollisionAwareEngine& engine() const { return engine_; }
+  const phy::IdealPhy& ideal_phy() const { return phy_; }
 
   // Checkpoint hooks (sim::Protocol): the phy record store and the engine
-  // state as two length-prefixed blobs; the options (and the whole
-  // construction path) are rederived by the factory before restore.
+  // state as two length-prefixed blobs, then the blob format (absent in
+  // checkpoint-v1 blobs); the options (and the whole construction path)
+  // are rederived by the factory before restore.
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(std::string* out) const override {
-    std::string blob;
-    phy_.SaveState(&blob);
-    ser::PutBytes(*out, blob);
-    blob.clear();
-    engine_.SaveEngineState(&blob);
-    ser::PutBytes(*out, blob);
-  }
-  bool RestoreState(std::string_view bytes) override {
-    ser::Reader r{bytes};
-    ser::Reader phy_r{r.Bytes()};
-    if (!r.ok || !phy_.RestoreState(phy_r) || !phy_r.AtEnd()) return false;
-    ser::Reader eng_r{r.Bytes()};
-    if (!r.ok || !engine_.RestoreEngineState(eng_r) || !eng_r.AtEnd()) {
-      return false;
-    }
-    return r.AtEnd();
-  }
+  void SaveState(std::string* out) const override;
+  bool RestoreState(std::string_view bytes) override;
 
  private:
   phy::IdealPhy phy_;
@@ -162,28 +148,12 @@ class Scat final : public sim::Protocol {
   // The pre-step's estimate of N (population size when disabled).
   double assumed_total() const { return assumed_total_; }
 
-  // Checkpoint hooks: same two-blob layout as Fcat. The estimation
-  // pre-step runs at construction from the same seed, so its metrics and
+  // Checkpoint hooks: same blob layout as Fcat. The estimation pre-step
+  // runs at construction from the same seed, so its metrics and
   // assumed_total are rederived, not serialized.
   bool SupportsCheckpoint() const override { return true; }
-  void SaveState(std::string* out) const override {
-    std::string blob;
-    phy_.SaveState(&blob);
-    ser::PutBytes(*out, blob);
-    blob.clear();
-    engine_.SaveEngineState(&blob);
-    ser::PutBytes(*out, blob);
-  }
-  bool RestoreState(std::string_view bytes) override {
-    ser::Reader r{bytes};
-    ser::Reader phy_r{r.Bytes()};
-    if (!r.ok || !phy_.RestoreState(phy_r) || !phy_r.AtEnd()) return false;
-    ser::Reader eng_r{r.Bytes()};
-    if (!r.ok || !engine_.RestoreEngineState(eng_r) || !eng_r.AtEnd()) {
-      return false;
-    }
-    return r.AtEnd();
-  }
+  void SaveState(std::string* out) const override;
+  bool RestoreState(std::string_view bytes) override;
 
  private:
   static CollisionAwareConfig BuildConfig(std::span<const TagId> population,

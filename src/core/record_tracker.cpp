@@ -1,17 +1,12 @@
 #include "core/record_tracker.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace anc::core {
 
 RecordTracker::RecordTracker(std::size_t n_tags)
     : chain_head_(n_tags, kNil), chain_tail_(n_tags, kNil) {}
-
-void RecordTracker::EnsureSlot(std::uint32_t index) {
-  if (index >= records_.size()) {
-    records_.resize(static_cast<std::size_t>(index) + 1);
-  }
-}
 
 void RecordTracker::PushKnown(RecordState& state, std::uint32_t tag) {
   // The capacity bound keeps a duplicate feed (a tag re-learned through
@@ -27,8 +22,7 @@ void RecordTracker::PushKnown(RecordState& state, std::uint32_t tag) {
 
 phy::RecordHandle RecordTracker::Register(
     phy::RecordHandle handle, std::span<const std::uint32_t> participants) {
-  EnsureSlot(handle.index());
-  RecordState& state = records_[handle.index()];
+  RecordState& state = records_.Ensure(handle);
   state.open = true;
   state.knowns_offset = static_cast<std::uint32_t>(knowns_arena_.size());
   state.knowns_len = 0;
@@ -77,9 +71,9 @@ void RecordTracker::OnResolveMiss(phy::RecordHandle handle,
 
 std::optional<RecordTracker::Resolution> RecordTracker::AddKnownParticipant(
     phy::RecordHandle handle, std::uint32_t tag, phy::PhyInterface& phy) {
-  if (handle.index() >= records_.size()) return std::nullopt;
-  RecordState& state = records_[handle.index()];
-  if (!state.open) return std::nullopt;
+  RecordState* found = records_.Find(handle);
+  if (found == nullptr || !found->open) return std::nullopt;
+  RecordState& state = *found;
   PushKnown(state, tag);
   if (ledger_ != nullptr) ledger_->OnProgress(handle);
   std::optional<TagId> id;
@@ -113,7 +107,7 @@ void RecordTracker::OnIdKnown(std::uint32_t tag, phy::PhyInterface& phy,
   for (std::uint32_t node = chain_head_[tag]; node != kNil;
        node = chain_nodes_[node].next) {
     const phy::RecordHandle handle = chain_nodes_[node].record;
-    RecordState& state = records_[handle.index()];
+    RecordState& state = *records_.Find(handle);
     if (!state.open) continue;
     PushKnown(state, tag);
     if (ledger_ != nullptr) ledger_->OnProgress(handle);
@@ -136,7 +130,7 @@ void RecordTracker::OnIdKnown(std::uint32_t tag, phy::PhyInterface& phy,
   for (const Pending& pending : pending_scratch_) {
     std::optional<TagId> id;
     if (!pending.corrupt) id = results_scratch_[ri++];
-    RecordState& state = records_[pending.handle.index()];
+    RecordState& state = *records_.Find(pending.handle);
     if (id) {
       CloseResolved(pending.handle, state, phy);
       out->push_back({*id, pending.handle});
@@ -148,10 +142,9 @@ void RecordTracker::OnIdKnown(std::uint32_t tag, phy::PhyInterface& phy,
 
 void RecordTracker::Abandon(phy::RecordHandle handle, phy::PhyInterface& phy,
                             fault::RecordLedger::CloseReason reason) {
-  if (handle.index() >= records_.size()) return;
-  RecordState& state = records_[handle.index()];
-  if (!state.open) return;
-  state.open = false;
+  RecordState* state = records_.Find(handle);
+  if (state == nullptr || !state->open) return;
+  state->open = false;
   --open_records_;
   phy.ReleaseRecord(handle);
   if (ledger_ != nullptr) ledger_->Close(handle, reason);
@@ -160,11 +153,18 @@ void RecordTracker::Abandon(phy::RecordHandle handle, phy::PhyInterface& phy,
 std::size_t RecordTracker::ReleaseAll(
     phy::PhyInterface& phy, fault::RecordLedger::CloseReason reason) {
   std::size_t released = 0;
-  for (std::uint32_t i = 0; i < records_.size(); ++i) {
-    if (!records_[i].open) continue;
-    Abandon(phy::RecordHandle{i}, phy, reason);
+  for (std::size_t i = 0; i < records_.size(); ++i) {
+    if (!records_.entries()[i].open) continue;
+    Abandon(records_.HandleAt(i), phy, reason);
     ++released;
   }
+  // Nothing is open now, so no chain can lead to a live record: drop the
+  // window, the known slices and the chains wholesale.
+  records_.Compact();
+  knowns_arena_.clear();
+  chain_nodes_.clear();
+  std::fill(chain_head_.begin(), chain_head_.end(), kNil);
+  std::fill(chain_tail_.begin(), chain_tail_.end(), kNil);
   return released;
 }
 
@@ -173,13 +173,12 @@ std::vector<phy::RecordHandle> RecordTracker::TakeRetryAbandoned() {
 }
 
 void RecordTracker::SaveState(std::string* out) const {
-  ser::PutVarint(*out, records_.size());
-  for (const RecordState& state : records_) {
-    ser::PutVarint(*out, state.knowns_offset);
-    ser::PutVarint(*out, state.knowns_len);
-    ser::PutVarint(*out, state.knowns_cap);
-    ser::PutBool(*out, state.open);
-  }
+  records_.Save(out, [](std::string& o, const RecordState& state) {
+    ser::PutVarint(o, state.knowns_offset);
+    ser::PutVarint(o, state.knowns_len);
+    ser::PutVarint(o, state.knowns_cap);
+    ser::PutBool(o, state.open);
+  });
   ser::PutVarint(*out, knowns_arena_.size());
   for (std::uint32_t tag : knowns_arena_) ser::PutVarint(*out, tag);
   ser::PutVarint(*out, chain_nodes_.size());
@@ -197,19 +196,24 @@ void RecordTracker::SaveState(std::string* out) const {
   }
 }
 
-bool RecordTracker::RestoreState(anc::ser::Reader& r) {
-  records_.assign(static_cast<std::size_t>(r.Varint()), RecordState{});
-  for (RecordState& state : records_) {
-    state.knowns_offset = static_cast<std::uint32_t>(r.Varint());
-    state.knowns_len = static_cast<std::uint32_t>(r.Varint());
-    state.knowns_cap = static_cast<std::uint32_t>(r.Varint());
-    state.open = r.Bool();
-  }
-  knowns_arena_.assign(static_cast<std::size_t>(r.Varint()), 0);
+bool RecordTracker::RestoreState(anc::ser::Reader& r,
+                                 ser::BlobFormat format) {
+  const bool window_ok =
+      records_.Restore(r, format, [](ser::Reader& in, RecordState& state) {
+        state.knowns_offset = static_cast<std::uint32_t>(in.Varint());
+        state.knowns_len = static_cast<std::uint32_t>(in.Varint());
+        state.knowns_cap = static_cast<std::uint32_t>(in.Varint());
+        state.open = in.Bool();
+      });
+  const std::uint64_t n_knowns = r.Varint();
+  if (!window_ok || !r.CanHold(n_knowns)) return false;
+  knowns_arena_.assign(static_cast<std::size_t>(n_knowns), 0);
   for (std::uint32_t& tag : knowns_arena_) {
     tag = static_cast<std::uint32_t>(r.Varint());
   }
-  chain_nodes_.assign(static_cast<std::size_t>(r.Varint()), ChainNode{});
+  const std::uint64_t n_nodes = r.Varint();
+  if (!r.CanHold(n_nodes)) return false;
+  chain_nodes_.assign(static_cast<std::size_t>(n_nodes), ChainNode{});
   for (ChainNode& node : chain_nodes_) {
     node.record = phy::RecordHandle(static_cast<std::uint32_t>(r.Varint()));
     node.next = static_cast<std::uint32_t>(r.Varint());
@@ -223,12 +227,47 @@ bool RecordTracker::RestoreState(anc::ser::Reader& r) {
     tail = static_cast<std::uint32_t>(r.Varint());
   }
   open_records_ = static_cast<std::size_t>(r.Varint());
-  retry_abandoned_.assign(static_cast<std::size_t>(r.Varint()),
+  const std::uint64_t n_retry = r.Varint();
+  if (!r.CanHold(n_retry)) return false;
+  retry_abandoned_.assign(static_cast<std::size_t>(n_retry),
                           phy::RecordHandle{});
   for (phy::RecordHandle& h : retry_abandoned_) {
     h = phy::RecordHandle(static_cast<std::uint32_t>(r.Varint()));
   }
-  return r.ok;
+  if (!r.ok) return false;
+
+  // Every index must land inside its arena: chains link forward through
+  // the node pool (nodes are appended, so a valid chain never points
+  // back — which also rules out cycles), nodes name records of the
+  // window, known slices sit inside the known arena and hold tags of the
+  // population, and the open count agrees with the flags.
+  const auto node_ok = [this](std::uint32_t node) {
+    return node == kNil || node < chain_nodes_.size();
+  };
+  for (std::size_t i = 0; i < chain_nodes_.size(); ++i) {
+    const ChainNode& node = chain_nodes_[i];
+    const bool forward = node.next == kNil || node.next > i;
+    if (!forward || !node_ok(node.next) ||
+        records_.Find(node.record) == nullptr) {
+      return false;
+    }
+  }
+  for (std::size_t t = 0; t < chain_head_.size(); ++t) {
+    if (!node_ok(chain_head_[t]) || !node_ok(chain_tail_[t])) return false;
+  }
+  for (std::uint32_t tag : knowns_arena_) {
+    if (tag >= chain_head_.size()) return false;
+  }
+  std::size_t open = 0;
+  for (const RecordState& state : records_.entries()) {
+    if (state.knowns_len > state.knowns_cap ||
+        std::uint64_t{state.knowns_offset} + state.knowns_cap >
+            knowns_arena_.size()) {
+      return false;
+    }
+    open += state.open ? 1 : 0;
+  }
+  return open == open_records_;
 }
 
 }  // namespace anc::core

@@ -14,13 +14,18 @@
 // attempted as one phy batch; successes are returned so the engine can
 // cascade.
 //
-// Storage is arena-backed throughout: record metadata is a flat vector
-// indexed by handle, known sets are fixed-capacity slices of one shared
-// index array (capacity = the record's constituent count, reserved at
-// registration), and the per-tag record lists are singly-linked chains
-// through one node pool. Registering a record or feeding a known into it
-// never allocates once the arenas reach steady-state capacity — the
-// tracker's share of the engine's zero-allocation slot loop.
+// Storage is arena-backed throughout: record metadata is a HandleWindow
+// (phy/slot.h) over the records registered since the last ReleaseAll,
+// known sets are fixed-capacity slices of one shared index array
+// (capacity = the record's constituent count, reserved at registration),
+// and the per-tag record lists are singly-linked chains through one node
+// pool. ReleaseAll — run at every Finish, inventory-round boundary and
+// power cycle — leaves no record open, so it also empties all three
+// arenas (capacity kept) and resets the chains: a tag's chain only ever
+// walks the current round's records, and a checkpoint carries only them.
+// Registering a record or feeding a known into it never allocates once
+// the arenas reach their peak per-round size — the tracker's share of the
+// engine's zero-allocation slot loop, which therefore holds across rounds.
 //
 // Fault coupling (src/fault): when a RecordLedger is attached, the
 // tracker reports every open/progress/close to it, refuses to resolve
@@ -85,9 +90,10 @@ class RecordTracker {
   void Abandon(phy::RecordHandle handle, phy::PhyInterface& phy,
                fault::RecordLedger::CloseReason reason);
 
-  // Closes and releases every still-open record; returns how many. Used
-  // by the engine's termination sweep (the open-record leak fix) and by
-  // the crash path (volatile store lost at power-off).
+  // Closes and releases every still-open record, then compacts the
+  // arenas; returns how many records it closed. Used by the engine's
+  // termination sweep (the open-record leak fix) and by the crash path
+  // (volatile store lost at power-off).
   std::size_t ReleaseAll(phy::PhyInterface& phy,
                          fault::RecordLedger::CloseReason reason);
 
@@ -97,12 +103,17 @@ class RecordTracker {
   std::vector<phy::RecordHandle> TakeRetryAbandoned();
 
   [[nodiscard]] std::size_t open_records() const { return open_records_; }
+  // Records registered since the last compaction, open or closed.
+  [[nodiscard]] std::size_t window_size() const { return records_.size(); }
+  // One past the last handle in the window.
+  [[nodiscard]] phy::RecordHandle window_end() const { return records_.End(); }
 
-  // Checkpoint hooks (common/serialize.h wire format): the record arena,
+  // Checkpoint hooks (common/serialize.h wire format): the record window,
   // the per-tag chains and the pending retry-abandon list. The ledger
-  // pointer is re-attached by the owning engine after restore.
+  // pointer is re-attached by the owning engine after restore. `format`
+  // is the format the blob was written in.
   void SaveState(std::string* out) const;
-  bool RestoreState(anc::ser::Reader& r);
+  bool RestoreState(anc::ser::Reader& r, ser::BlobFormat format);
 
  private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
@@ -124,7 +135,6 @@ class RecordTracker {
     bool corrupt = false;  // ledger says CRC is gone: no phy attempt
   };
 
-  void EnsureSlot(std::uint32_t index);
   // Appends `tag` to the record's known slice (bounded by its capacity).
   void PushKnown(RecordState& state, std::uint32_t tag);
   [[nodiscard]] std::span<const std::uint32_t> KnownsOf(
@@ -138,7 +148,7 @@ class RecordTracker {
   void OnResolveMiss(phy::RecordHandle handle, RecordState& state,
                      phy::PhyInterface& phy);
 
-  std::vector<RecordState> records_;
+  phy::HandleWindow<RecordState> records_;
   std::vector<std::uint32_t> knowns_arena_;
   std::vector<ChainNode> chain_nodes_;
   std::vector<std::uint32_t> chain_head_;  // per tag

@@ -60,9 +60,10 @@ DeploymentProtocol::DeploymentProtocol(std::span<const TagId> tags,
     digest_to_index_.emplace(tags[i].Digest(), i);
   }
   pending_.assign(readers_.size(), false);
-  name_ = "deploy-" + std::string(SchedulerPolicyName(config.policy));
+  name_ = "deploy-";
+  name_.append(SchedulerPolicyName(config.policy));
   if (!readers_.empty()) {
-    name_ += "(" + std::string(readers_[0]->protocol->name()) + ")";
+    name_.append("(").append(readers_[0]->protocol->name()).append(")");
   }
   finished_ = readers_.empty() || tags.empty();
 }

@@ -33,6 +33,7 @@ class FaultInjector {
   FaultCounters& counters() { return counters_; }
   const FaultCounters& counters() const { return counters_; }
   RecordLedger& ledger() { return ledger_; }
+  const RecordLedger& ledger() const { return ledger_; }
 
   // Frame-advert downlink: one channel use per advertisement. A corrupted
   // advert never reaches the tags — they stay on the last probability
@@ -88,10 +89,10 @@ class FaultInjector {
     ser::PutBool(*out, bitrot_.in_bad_state());
     ser::PutBool(*out, crashed_);
   }
-  bool RestoreState(ser::Reader& r) {
+  bool RestoreState(ser::Reader& r, ser::BlobFormat format) {
     if (!ReadPcg32(r, rng_)) return false;
     if (!ReadFaultCounters(r, counters_)) return false;
-    if (!ledger_.RestoreState(r)) return false;
+    if (!ledger_.RestoreState(r, format)) return false;
     advert_.set_bad_state(r.Bool());
     ack_.set_bad_state(r.Bool());
     bitrot_.set_bad_state(r.Bool());

@@ -13,10 +13,7 @@ void RecordLedger::Tick(std::uint64_t slot, std::uint64_t frame) {
 
 phy::RecordHandle RecordLedger::Open(phy::RecordHandle handle,
                                      std::size_t k) {
-  if (handle.index() >= metas_.size()) {
-    metas_.resize(handle.index() + 1);
-  }
-  Meta& m = metas_[handle.index()];
+  Meta& m = metas_.Ensure(handle);
   m = Meta{};
   m.open = true;
   m.opened_slot = slot_;
@@ -46,8 +43,8 @@ phy::RecordHandle RecordLedger::PickVictim() {
   }
   phy::RecordHandle victim = open_.front();
   for (phy::RecordHandle h : open_) {
-    const Meta& m = metas_[h.index()];
-    const Meta& best = metas_[victim.index()];
+    const Meta& m = *metas_.Find(h);
+    const Meta& best = *metas_.Find(victim);
     if (policy_.eviction == EvictionPolicy::kLruProgress) {
       // Least-recently-progressed; older record breaks ties (both
       // deterministic: one record opens per slot, so opened_slot is
@@ -68,24 +65,21 @@ phy::RecordHandle RecordLedger::PickVictim() {
 }
 
 void RecordLedger::OnProgress(phy::RecordHandle handle) {
-  if (handle.index() < metas_.size() && metas_[handle.index()].open) {
-    metas_[handle.index()].last_progress_slot = slot_;
-  }
+  Meta* m = metas_.Find(handle);
+  if (m != nullptr && m->open) m->last_progress_slot = slot_;
 }
 
 bool RecordLedger::OnResolveFailed(phy::RecordHandle handle) {
-  if (handle.index() >= metas_.size() || !metas_[handle.index()].open) {
-    return false;
-  }
-  Meta& m = metas_[handle.index()];
-  ++m.resolve_failures;
+  Meta* m = metas_.Find(handle);
+  if (m == nullptr || !m->open) return false;
+  ++m->resolve_failures;
   return policy_.max_resolve_failures > 0 &&
-         m.resolve_failures > policy_.max_resolve_failures;
+         m->resolve_failures > policy_.max_resolve_failures;
 }
 
 phy::RecordHandle RecordLedger::CorruptOldest() {
   for (phy::RecordHandle h : open_) {
-    Meta& m = metas_[h.index()];
+    Meta& m = *metas_.Find(h);
     if (m.corrupt) continue;
     m.corrupt = true;
     ++counters_->records_corrupted;
@@ -95,16 +89,16 @@ phy::RecordHandle RecordLedger::CorruptOldest() {
 }
 
 bool RecordLedger::IsCorrupt(phy::RecordHandle handle) const {
-  return handle.index() < metas_.size() && metas_[handle.index()].open &&
-         metas_[handle.index()].corrupt;
+  const Meta* m = metas_.Find(handle);
+  return m != nullptr && m->open && m->corrupt;
 }
 
 void RecordLedger::Close(phy::RecordHandle handle, CloseReason reason) {
-  if (handle.index() >= metas_.size() || !metas_[handle.index()].open) {
-    return;
-  }
-  metas_[handle.index()].open = false;
+  Meta* m = metas_.Find(handle);
+  if (m == nullptr || !m->open) return;
+  m->open = false;
   open_.erase(std::find(open_.begin(), open_.end(), handle));
+  if (open_.empty()) metas_.Compact();
   switch (reason) {
     case CloseReason::kResolved: ++counters_->records_resolved; break;
     case CloseReason::kEvicted: ++counters_->records_evicted; break;
@@ -127,10 +121,55 @@ void RecordLedger::ExpireTtl(
     std::vector<phy::RecordHandle>* expired) const {
   if (policy_.max_open_frames == 0) return;
   for (phy::RecordHandle h : open_) {
-    if (frame_ - metas_[h.index()].opened_frame > policy_.max_open_frames) {
+    if (frame_ - metas_.Find(h)->opened_frame > policy_.max_open_frames) {
       expired->push_back(h);
     }
   }
+}
+
+void RecordLedger::SaveState(std::string* out) const {
+  ser::PutVarint(*out, slot_);
+  ser::PutVarint(*out, frame_);
+  metas_.Save(out, [](std::string& o, const Meta& m) {
+    ser::PutVarint(o, m.opened_slot);
+    ser::PutVarint(o, m.opened_frame);
+    ser::PutVarint(o, m.last_progress_slot);
+    ser::PutVarint(o, m.k);
+    ser::PutVarint(o, m.resolve_failures);
+    ser::PutBool(o, m.open);
+    ser::PutBool(o, m.corrupt);
+  });
+  ser::PutVarint(*out, open_.size());
+  for (phy::RecordHandle h : open_) ser::PutVarint(*out, h.index());
+}
+
+bool RecordLedger::RestoreState(ser::Reader& r, ser::BlobFormat format) {
+  slot_ = r.Varint();
+  frame_ = r.Varint();
+  const bool window_ok =
+      metas_.Restore(r, format, [](ser::Reader& in, Meta& m) {
+        m.opened_slot = in.Varint();
+        m.opened_frame = in.Varint();
+        m.last_progress_slot = in.Varint();
+        m.k = static_cast<std::uint32_t>(in.Varint());
+        m.resolve_failures = static_cast<std::uint32_t>(in.Varint());
+        m.open = in.Bool();
+        m.corrupt = in.Bool();
+      });
+  if (!window_ok) return false;
+  const std::uint64_t n_open = r.Varint();
+  if (!r.ok || n_open > metas_.size()) return false;
+  open_.assign(static_cast<std::size_t>(n_open), phy::RecordHandle{});
+  for (phy::RecordHandle& h : open_) {
+    h = phy::RecordHandle(static_cast<std::uint32_t>(r.Varint()));
+    const Meta* m = metas_.Find(h);
+    if (m == nullptr || !m->open) return false;
+  }
+  // The FIFO list must hold one entry per open record, each naming an
+  // open one.
+  std::size_t open = 0;
+  for (const Meta& m : metas_.entries()) open += m.open ? 1 : 0;
+  return r.ok && open == open_.size();
 }
 
 }  // namespace anc::fault

@@ -3,7 +3,10 @@
 // TTL budgets, and bit-rot corruption marks.
 //
 // The ledger never touches the phy or the protocol's record index — it
-// only *decides* and *accounts*. RecordTracker (src/core) consults it on
+// only *decides* and *accounts*. Per-record metadata lives in a
+// HandleWindow that compacts whenever the last open record closes, so the
+// ledger holds the records opened since it was last empty, not the run's
+// history. RecordTracker (src/core) consults it on
 // every register/resolve and performs the actual close + signal release;
 // the engine drives the clock (Tick), drains TTL expiries at frame
 // boundaries, and turns ledger decisions into trace events.
@@ -71,47 +74,18 @@ class RecordLedger {
   void ExpireTtl(std::vector<phy::RecordHandle>* expired) const;
 
   std::size_t open_count() const { return open_.size(); }
+  // Records opened since the ledger was last empty, open or closed.
+  std::size_t window_size() const { return metas_.size(); }
+  // One past the last handle in the window.
+  phy::RecordHandle window_end() const { return metas_.End(); }
   const RecordStorePolicy& policy() const { return policy_; }
   bool TtlEnabled() const { return policy_.max_open_frames > 0; }
 
   // Checkpoint hooks (common/serialize.h wire format). The policy,
   // counters and rng are construction-wired; only the clock and the
-  // per-record metadata travel.
-  void SaveState(std::string* out) const {
-    ser::PutVarint(*out, slot_);
-    ser::PutVarint(*out, frame_);
-    ser::PutVarint(*out, metas_.size());
-    for (const Meta& m : metas_) {
-      ser::PutVarint(*out, m.opened_slot);
-      ser::PutVarint(*out, m.opened_frame);
-      ser::PutVarint(*out, m.last_progress_slot);
-      ser::PutVarint(*out, m.k);
-      ser::PutVarint(*out, m.resolve_failures);
-      ser::PutBool(*out, m.open);
-      ser::PutBool(*out, m.corrupt);
-    }
-    ser::PutVarint(*out, open_.size());
-    for (phy::RecordHandle h : open_) ser::PutVarint(*out, h.index());
-  }
-  bool RestoreState(ser::Reader& r) {
-    slot_ = r.Varint();
-    frame_ = r.Varint();
-    metas_.assign(static_cast<std::size_t>(r.Varint()), Meta{});
-    for (Meta& m : metas_) {
-      m.opened_slot = r.Varint();
-      m.opened_frame = r.Varint();
-      m.last_progress_slot = r.Varint();
-      m.k = static_cast<std::uint32_t>(r.Varint());
-      m.resolve_failures = static_cast<std::uint32_t>(r.Varint());
-      m.open = r.Bool();
-      m.corrupt = r.Bool();
-    }
-    open_.assign(static_cast<std::size_t>(r.Varint()), phy::RecordHandle{});
-    for (phy::RecordHandle& h : open_) {
-      h = phy::RecordHandle(static_cast<std::uint32_t>(r.Varint()));
-    }
-    return r.ok;
-  }
+  // record window travel. `format` is the format the blob was written in.
+  void SaveState(std::string* out) const;
+  bool RestoreState(ser::Reader& r, ser::BlobFormat format);
 
  private:
   struct Meta {
@@ -131,7 +105,7 @@ class RecordLedger {
   anc::Pcg32* rng_;
   std::uint64_t slot_ = 0;
   std::uint64_t frame_ = 0;
-  std::vector<Meta> metas_;                 // indexed by record handle
+  phy::HandleWindow<Meta> metas_;
   std::vector<phy::RecordHandle> open_;     // insertion (FIFO) order
 };
 

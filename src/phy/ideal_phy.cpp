@@ -39,16 +39,15 @@ void IdealPhy::ObserveBatch(const SlotBatch& batch,
     record.doomed = participants.size() == 1;
     participants_arena_.insert(participants_arena_.end(),
                                participants.begin(), participants.end());
-    records_.push_back(record);
     ++open_records_;
-    obs.record =
-        RecordHandle(static_cast<std::uint32_t>(records_.size() - 1));
+    obs.record = records_.Push(record);
   }
 }
 
 std::optional<TagId> IdealPhy::ResolveOne(const ResolveRequest& request) {
-  if (request.record.index() >= records_.size()) return std::nullopt;
-  Record& record = records_[request.record.index()];
+  Record* found = records_.Find(request.record);
+  if (found == nullptr) return std::nullopt;
+  Record& record = *found;
   if (!record.open || record.doomed) return std::nullopt;
   const std::size_t k = record.count;
   if (k > config_.lambda) return std::nullopt;
@@ -83,43 +82,56 @@ void IdealPhy::TryResolveBatch(std::span<const ResolveRequest> requests,
 }
 
 void IdealPhy::ReleaseRecord(RecordHandle handle) {
-  if (handle.index() >= records_.size()) return;
-  Record& record = records_[handle.index()];
-  if (record.open) {
-    record.open = false;
-    --open_records_;
+  Record* record = records_.Find(handle);
+  if (record == nullptr || !record->open) return;
+  record->open = false;
+  if (--open_records_ == 0) {
+    records_.Compact();
+    participants_arena_.clear();
   }
 }
 
 void IdealPhy::SaveState(std::string* out) const {
   PutPcg32(*out, rng_);
-  ser::PutVarint(*out, records_.size());
-  for (const Record& record : records_) {
-    ser::PutVarint(*out, record.offset);
-    ser::PutVarint(*out, record.count);
-    ser::PutBool(*out, record.open);
-    ser::PutBool(*out, record.doomed);
-  }
+  records_.Save(out, [](std::string& o, const Record& record) {
+    ser::PutVarint(o, record.offset);
+    ser::PutVarint(o, record.count);
+    ser::PutBool(o, record.open);
+    ser::PutBool(o, record.doomed);
+  });
   ser::PutVarint(*out, participants_arena_.size());
   for (std::uint32_t tag : participants_arena_) ser::PutVarint(*out, tag);
   ser::PutVarint(*out, open_records_);
 }
 
-bool IdealPhy::RestoreState(anc::ser::Reader& r) {
+bool IdealPhy::RestoreState(anc::ser::Reader& r, ser::BlobFormat format) {
   if (!ReadPcg32(r, rng_)) return false;
-  records_.assign(static_cast<std::size_t>(r.Varint()), Record{});
-  for (Record& record : records_) {
-    record.offset = static_cast<std::uint32_t>(r.Varint());
-    record.count = static_cast<std::uint32_t>(r.Varint());
-    record.open = r.Bool();
-    record.doomed = r.Bool();
-  }
-  participants_arena_.assign(static_cast<std::size_t>(r.Varint()), 0);
+  const bool window_ok =
+      records_.Restore(r, format, [](ser::Reader& in, Record& record) {
+        record.offset = static_cast<std::uint32_t>(in.Varint());
+        record.count = static_cast<std::uint32_t>(in.Varint());
+        record.open = in.Bool();
+        record.doomed = in.Bool();
+      });
+  if (!window_ok) return false;
+  const std::uint64_t arena_size = r.Varint();
+  if (!r.CanHold(arena_size)) return false;
+  participants_arena_.assign(static_cast<std::size_t>(arena_size), 0);
   for (std::uint32_t& tag : participants_arena_) {
     tag = static_cast<std::uint32_t>(r.Varint());
+    if (tag >= population_.size()) return false;
   }
   open_records_ = static_cast<std::size_t>(r.Varint());
-  return r.ok;
+  // Every record must address its own participants, and the open count
+  // must agree with the flags: a blob that fails either is malformed.
+  std::size_t open = 0;
+  for (const Record& record : records_.entries()) {
+    if (std::uint64_t{record.offset} + record.count > arena_size) {
+      return false;
+    }
+    open += record.open ? 1 : 0;
+  }
+  return r.ok && open == open_records_;
 }
 
 }  // namespace anc::phy

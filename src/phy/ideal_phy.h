@@ -8,11 +8,14 @@
 //                              fails and the slot is recorded like a
 //                              collision (the tag retries later).
 //
-// Records live in a flat arena: per-record metadata in one vector,
+// Records live in a flat arena: per-record metadata in a HandleWindow,
 // participant lists appended to one shared index array. Opening a record
 // costs one metadata push plus an append — no per-record node allocation —
 // which is what lets the engine's slot loop run allocation-free once the
-// arena reaches steady-state capacity.
+// arena reaches steady-state capacity. Whenever the last open record is
+// released, both arrays are cleared (capacity kept) and the window's base
+// advances, so the arena holds only records issued since the store was
+// last empty, never the run's whole history.
 //
 // RNG discipline: batch calls draw in slot/request span order, exactly as
 // the old slot-at-a-time interface did, so golden traces recorded against
@@ -52,12 +55,16 @@ class IdealPhy final : public PhyInterface {
   [[nodiscard]] std::size_t OpenRecords() const override {
     return open_records_;
   }
+  // Records issued since the store was last empty, open or closed.
+  [[nodiscard]] std::size_t window_size() const { return records_.size(); }
+  // The handle the next observed collision gets.
+  [[nodiscard]] RecordHandle window_end() const { return records_.End(); }
 
   // Checkpoint hooks (common/serialize.h wire format): the noise RNG
-  // stream and the whole record arena; population and config are
-  // construction-time.
+  // stream and the record window; population and config are
+  // construction-time. `format` is the format the blob was written in.
   void SaveState(std::string* out) const;
-  bool RestoreState(anc::ser::Reader& r);
+  bool RestoreState(anc::ser::Reader& r, ser::BlobFormat format);
 
  private:
   struct Record {
@@ -72,7 +79,7 @@ class IdealPhy final : public PhyInterface {
   std::span<const TagId> population_;
   IdealPhyConfig config_;
   anc::Pcg32 rng_;
-  std::vector<Record> records_;
+  HandleWindow<Record> records_;
   std::vector<std::uint32_t> participants_arena_;
   std::size_t open_records_ = 0;
 };

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -121,7 +122,9 @@ SignalPhy::SignalPhy(std::span<const TagId> population,
   frame_samples_ = codec_.frame_bits() *
                    static_cast<std::size_t>(config_.samples_per_bit);
   slab_samples_ = frame_samples_ + config_.max_timing_jitter_samples;
-  wave_cache_.resize(population.size() * frame_samples_);
+  const std::size_t cache_samples = population.size() * frame_samples_;
+  wave_cache_ = {std::allocator<Sample>().allocate(cache_samples),
+                 SampleBlockFree{cache_samples}};
   wave_cached_.assign(population.size(), 0);
   ref_scratch_.resize(1);
 }
@@ -129,7 +132,7 @@ SignalPhy::SignalPhy(std::span<const TagId> population,
 SignalPhy::~SignalPhy() = default;
 
 std::span<const Sample> SignalPhy::CachedWaveform(std::uint32_t tag) {
-  Sample* slot = wave_cache_.data() + frame_samples_ * tag;
+  Sample* slot = wave_cache_.get() + frame_samples_ * tag;
   if (!wave_cached_[tag]) {
     const Buffer unit = codec_.Encode(population_[tag]);
     if (channels_[tag].cfo_per_sample == 0.0) {
@@ -138,9 +141,9 @@ std::span<const Sample> SignalPhy::CachedWaveform(std::uint32_t tag) {
       // advance is cfo * slot * samples = 0).
       Buffer applied;
       anc::signal::ApplyChannelInto(unit, channels_[tag], &applied);
-      std::copy(applied.begin(), applied.end(), slot);
+      std::uninitialized_copy(applied.begin(), applied.end(), slot);
     } else {
-      std::copy(unit.begin(), unit.end(), slot);
+      std::uninitialized_copy(unit.begin(), unit.end(), slot);
     }
     wave_cached_[tag] = 1;
   }
@@ -228,10 +231,8 @@ void SignalPhy::ObserveOne(std::uint64_t slot_index,
   std::copy(mix_scratch_.begin(), mix_scratch_.end(),
             slab_pool_.data() +
                 static_cast<std::size_t>(record.slab) * slab_samples_);
-  records_.push_back(record);
   ++open_records_;
-  obs->record =
-      RecordHandle(static_cast<std::uint32_t>(records_.size() - 1));
+  obs->record = records_.Push(record);
 }
 
 void SignalPhy::ObserveBatch(const SlotBatch& batch,
@@ -249,9 +250,9 @@ void SignalPhy::ComputeResolve(
     std::vector<std::span<const Sample>>* ref_scratch) const {
   outcome->attempted = false;
   outcome->result = anc::signal::ResolveResult{};
-  if (request.record.index() >= records_.size()) return;
-  const Record& record = records_[request.record.index()];
-  if (!record.open) return;
+  const Record* found = records_.Find(request.record);
+  if (found == nullptr || !found->open) return;
+  const Record& record = *found;
   if (config_.max_mixture != 0 &&
       record.mixture_order > config_.max_mixture) {
     return;  // beyond the modeled ANC decoder capability
@@ -332,14 +333,12 @@ void SignalPhy::TryResolveBatch(std::span<const ResolveRequest> requests,
 }
 
 void SignalPhy::ReleaseRecord(RecordHandle handle) {
-  if (handle.index() >= records_.size()) return;
-  Record& record = records_[handle.index()];
-  if (record.open) {
-    record.open = false;
-    free_slabs_.push_back(record.slab);
-    record.slab = kNoSlab;
-    --open_records_;
-  }
+  Record* record = records_.Find(handle);
+  if (record == nullptr || !record->open) return;
+  record->open = false;
+  free_slabs_.push_back(record->slab);
+  record->slab = kNoSlab;
+  if (--open_records_ == 0) records_.Compact();
 }
 
 }  // namespace anc::phy

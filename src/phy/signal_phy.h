@@ -18,8 +18,9 @@
 //     is recomputed per transmission.
 //   * Record waveforms live in a slab arena: fixed-stride slices of one
 //     flat buffer, recycled through a free list on release. Record
-//     metadata is a flat vector indexed by handle (handles are never
-//     reused within a run — the tracker and fault ledger key on them).
+//     metadata is a HandleWindow (handles are never reused within a run —
+//     the tracker and fault ledger key on them) that compacts whenever
+//     the last open record is released.
 //   * Mixing, noise and demodulation run over reusable scratch buffers;
 //     after warm-up an observed slot performs no heap allocation.
 //   * TryResolveBatch optionally fans requests out to a persistent worker
@@ -155,14 +156,26 @@ class SignalPhy final : public PhyInterface {
   anc::signal::AncResolver resolver_;
   std::vector<anc::signal::ChannelParams> channels_;
   std::vector<anc::signal::Buffer> references_;
-  std::vector<Record> records_;
+  HandleWindow<Record> records_;
   std::size_t open_records_ = 0;
   double noise_power_ = 0.0;
+
+  // Frees the waveform cache's raw std::allocator block.
+  struct SampleBlockFree {
+    std::size_t samples;
+    void operator()(anc::signal::Sample* p) const {
+      std::allocator<anc::signal::Sample>().deallocate(p, samples);
+    }
+  };
 
   // Waveform cache (see header comment).
   std::size_t frame_samples_ = 0;
   std::size_t slab_samples_ = 0;
-  anc::signal::Buffer wave_cache_;   // n_tags x frame_samples_, lazy
+  // n_tags x frame_samples_ samples. A tag's slice is constructed on its
+  // first transmission (wave_cached_), so construction only reserves the
+  // memory instead of zero-filling megabytes that are always overwritten
+  // before they are read.
+  std::unique_ptr<anc::signal::Sample, SampleBlockFree> wave_cache_;
   std::vector<std::uint8_t> wave_cached_;
 
   // Record slab arena.

@@ -31,7 +31,12 @@
 namespace anc::service {
 
 inline constexpr std::string_view kCheckpointMagic = "ANCCKPT1";
-inline constexpr std::uint64_t kCheckpointVersion = 1;
+// v2: collision-record arenas travel as windows — the records issued
+// since each store was last empty plus the window's base handle — so a
+// protocol blob is O(open records), not O(run history). A v1 protocol
+// blob holds every arena from handle 0, which is a window with base 0;
+// the same restore code reads both.
+inline constexpr std::uint64_t kCheckpointVersion = 2;
 // Oldest decodable version; bumping kCheckpointVersion must keep the
 // decoder accepting everything in [kCheckpointVersionMin, current].
 inline constexpr std::uint64_t kCheckpointVersionMin = 1;

@@ -115,5 +115,29 @@ TEST(RecordTracker, DuplicatePairRecordsOnlyOneUseful) {
   EXPECT_EQ(resolved[1].id, f.pop[2]);
 }
 
+// ReleaseAll empties every arena: later rounds walk only their own
+// records, and handles from before the compaction are inert.
+TEST(RecordTracker, ReleaseAllCompactsTheWindow) {
+  Fixture f;
+  const auto old_record = f.Collide(0, {3, 5});
+  f.Collide(1, {3, 7});
+  EXPECT_EQ(f.tracker.window_size(), 2u);
+  EXPECT_EQ(f.tracker.ReleaseAll(
+                f.phy, fault::RecordLedger::CloseReason::kReleasedAtEnd),
+            2u);
+  EXPECT_EQ(f.tracker.window_size(), 0u);
+  EXPECT_EQ(f.phy.window_size(), 0u);
+
+  const auto fresh = f.Collide(2, {3, 9});
+  EXPECT_EQ(fresh.index(), old_record.index() + 2);
+  f.tracker.Abandon(old_record, f.phy,
+                    fault::RecordLedger::CloseReason::kEvicted);
+  EXPECT_EQ(f.tracker.open_records(), 1u);
+  const auto resolved = f.OnIdKnown(3);
+  ASSERT_EQ(resolved.size(), 1u);  // only this round's record
+  EXPECT_EQ(resolved[0].id, f.pop[9]);
+  EXPECT_EQ(resolved[0].record, fresh);
+}
+
 }  // namespace
 }  // namespace anc::core
