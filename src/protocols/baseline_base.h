@@ -50,6 +50,20 @@ class BaselineBase : public sim::Protocol {
     metrics_.elapsed_seconds += timing_.SlotSeconds();
     EmitSlot(trace::SlotOutcome::kCollision, responders);
   }
+  // Whole-frame SIC protocols (CRDSA, IRSA, seeded ALOHA) book their
+  // reads when the buffered frame is decoded, so as the frame plays out a
+  // slot only charges its air time and kSlot event.
+  void ChargeBufferedSlot(std::size_t occupancy) {
+    if (occupancy == 0) {
+      ChargeEmptySlot();
+    } else if (occupancy == 1) {
+      ++metrics_.singleton_slots;
+      metrics_.elapsed_seconds += timing_.SlotSeconds();
+      EmitSlot(trace::SlotOutcome::kSingleton, 1);
+    } else {
+      ChargeCollisionSlot(occupancy);
+    }
+  }
   // Checkpoint plumbing shared by the checkpointable baselines: the
   // mutable base state is the RNG stream, the metrics and the global slot
   // counter (name/population/timing are construction-time).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 namespace anc::protocols {
 
@@ -45,52 +44,22 @@ void Crdsa::StartFrame() {
     ++frame_transmissions_;
   }
 
-  // Record the on-air slot occupancy before cancellation mutates it.
-  decoded_in_frame_.assign(frame_size_, 0);
-  for (std::uint64_t s = 0; s < frame_size_; ++s) {
-    decoded_in_frame_[s] = slot_tags_[s].size() == 1 ? 1 : 0;
-  }
   RunInterferenceCancellation();
 }
 
 void Crdsa::RunInterferenceCancellation() {
   // The receiver stores the whole frame, decodes clean singletons, then
   // cancels each decoded tag's twin copies, possibly exposing new
-  // singletons; repeat until a sweep makes no progress (a stopping set).
-  std::vector<std::uint8_t> decoded(read_.size(), 0);
-  std::vector<std::vector<std::uint32_t>> working = slot_tags_;
-  std::deque<std::uint64_t> ready;
-  for (std::uint64_t s = 0; s < frame_size_; ++s) {
-    if (working[s].size() == 1) ready.push_back(s);
-  }
-
-  std::vector<std::pair<std::uint32_t, bool>> reads;  // tag, from_singleton
-  int iterations = 0;
-  while (!ready.empty() && iterations < config_.max_ic_iterations *
-                                            static_cast<int>(frame_size_)) {
-    const std::uint64_t slot = ready.front();
-    ready.pop_front();
-    ++iterations;
-    if (working[slot].size() != 1) continue;
-    const std::uint32_t tag = working[slot][0];
-    if (decoded[tag]) continue;
-    decoded[tag] = 1;
-    reads.emplace_back(tag, decoded_in_frame_[slot] == 1);
-    // Cancel every copy of this tag from the stored frame.
-    for (std::uint64_t s = 0; s < frame_size_; ++s) {
-      auto& tags = working[s];
-      const auto it = std::find(tags.begin(), tags.end(), tag);
-      if (it == tags.end()) continue;
-      tags.erase(it);
-      if (tags.size() == 1) ready.push_back(s);
-    }
-  }
-
+  // singletons, until only a stopping set survives.
+  sic_.Reset(read_.size());
+  for (const auto& tags : slot_tags_) sic_.AddList(tags);
   // Book the reads now; Step() charges slot time as the frame plays out.
-  for (const auto& [tag, from_singleton] : reads) {
+  for (const auto& [tag, slot] : sic_.Decode(
+           static_cast<std::int64_t>(config_.max_ic_iterations) *
+           static_cast<std::int64_t>(frame_size_))) {
     read_[tag] = true;
     ++metrics_.tags_read;
-    if (from_singleton) {
+    if (slot_tags_[slot].size() == 1) {
       ++metrics_.ids_from_singletons;
     } else {
       ++metrics_.ids_from_collisions;
@@ -101,21 +70,7 @@ void Crdsa::RunInterferenceCancellation() {
 void Crdsa::Step() {
   if (finished_) return;
 
-  // Slot accounting is manual (the Charge helpers would double-book the
-  // reads RunInterferenceCancellation already credited), but the kSlot
-  // trace events go through EmitSlot like every other baseline.
-  const std::size_t occupancy = slot_tags_[slot_cursor_].size();
-  if (occupancy == 0) {
-    ++metrics_.empty_slots;
-    EmitSlot(trace::SlotOutcome::kEmpty, 0);
-  } else if (occupancy == 1) {
-    ++metrics_.singleton_slots;
-    EmitSlot(trace::SlotOutcome::kSingleton, 1);
-  } else {
-    ++metrics_.collision_slots;
-    EmitSlot(trace::SlotOutcome::kCollision, occupancy);
-  }
-  metrics_.elapsed_seconds += timing_.SlotSeconds();
+  ChargeBufferedSlot(slot_tags_[slot_cursor_].size());
   ++slot_cursor_;
 
   if (slot_cursor_ < frame_size_) return;

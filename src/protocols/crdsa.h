@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "protocols/baseline_base.h"
+#include "protocols/sic.h"
 
 namespace anc::protocols {
 
@@ -55,8 +56,7 @@ class Crdsa final : public BaselineBase {
   std::uint64_t slot_cursor_ = 0;
   std::uint64_t frame_transmissions_ = 0;
   std::vector<std::vector<std::uint32_t>> slot_tags_;  // on-air occupancy
-  std::vector<std::uint8_t> decoded_in_frame_;  // per-slot: 1 if the slot
-                                                // ends as a singleton
+  PeelingDecoder sic_;
   bool finished_ = false;
 };
 

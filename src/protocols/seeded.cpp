@@ -1,7 +1,6 @@
 #include "protocols/seeded.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/hash.h"
 
@@ -35,195 +34,59 @@ SeededPattern DeriveSeededPattern(std::uint64_t tag_digest,
   return p;
 }
 
-namespace {
-constexpr std::uint32_t kNoTag = ~std::uint32_t{0};
-}  // namespace
-
 SeededAloha::SeededAloha(std::span<const TagId> population, anc::Pcg32 rng,
                          phy::TimingModel timing, SeededConfig config)
-    : BaselineBase("SEEDED", population, rng, timing),
-      config_(config),
-      read_(population.size(), false),
-      present_(population.size(), true) {
+    : CodedFrameProtocol("SEEDED", population, rng, timing, config),
+      config_(config) {
   // One salt per run, announced with the reader's frame advertisement;
   // drawn before any other use of the stream so the pattern inputs are a
   // fixed function of the run seed.
   const std::uint64_t hi = rng_();
   const std::uint64_t lo = rng_();
   run_salt_ = hi << 32 | lo;
-  digest_to_index_.reserve(population.size() * 2);
-  for (std::uint32_t i = 0; i < population.size(); ++i) {
-    digest_to_index_.emplace(population[i].Digest(), i);
+}
+
+void SeededAloha::PlaceReplicas(std::uint32_t tag) {
+  const SeededPattern p =
+      DeriveSeededPattern(population_[tag].Digest(), run_salt_,
+                          metrics_.frames, frame_size_, config_.degrees);
+  for (int i = 0; i < p.degree; ++i) Place(tag, p.slots[i]);
+}
+
+// Unified SIC over the current frame *and* the open cross-frame records.
+// Every list's constituents are known up front (regenerated from the
+// announced seeds), so a list reaching one unknown constituent yields
+// that tag by subtraction — whether the list is a slot of this frame or a
+// record stored many frames ago. Stored records enter each frame with
+// >= 2 unknown constituents (the storage invariant below), so none start
+// ready.
+void SeededAloha::AddStoredLists() {
+  for (const StoredRecord& record : records_) {
+    sic_.AddList(record.constituents);
   }
 }
 
-std::uint32_t SeededAloha::IndexOf(const TagId& id) const {
-  const auto it = digest_to_index_.find(id.Digest());
-  return it == digest_to_index_.end() ? kNoTag : it->second;
+void SeededAloha::EmitStoredRead(std::uint32_t tag, std::size_t index) {
+  trace::TraceEvent r;
+  r.kind = trace::EventKind::kRecordResolve;
+  r.slot = slot_index_;
+  r.frame = metrics_.frames;
+  r.record = records_[index].id;
+  r.id_digest = population_[tag].Digest();
+  r.cascade = true;  // resolved by cross-frame cancellation
+  trace_.Emit(r);
 }
 
-void SeededAloha::RebuildUnread() {
-  unread_.clear();
-  for (std::uint32_t i = 0;
-       i < static_cast<std::uint32_t>(population_.size()); ++i) {
-    if (present_[i] && !read_[i]) unread_.push_back(i);
-  }
-}
-
-bool SeededAloha::ArriveTag(const TagId& id) {
-  const std::uint32_t tag = IndexOf(id);
-  if (tag == kNoTag) return false;
-  present_[tag] = true;
-  return true;
-}
-
-bool SeededAloha::DepartTag(const TagId& id) {
-  const std::uint32_t tag = IndexOf(id);
-  if (tag == kNoTag) return false;
-  present_[tag] = false;
-  // Future replicas of the current frame vanish; already-transmitted
-  // replicas and contributions to stored cross-frame records remain (the
-  // reader holds those signals — resolving one later is a ghost read).
-  for (std::uint64_t s = slot_cursor_; s < frame_size_; ++s) {
-    auto& tags = slot_tags_[s];
-    tags.erase(std::remove(tags.begin(), tags.end(), tag), tags.end());
-  }
-  return true;
-}
-
-bool SeededAloha::BeginInventoryRound(bool refresh) {
-  finished_ = false;
-  if (refresh) {
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(population_.size()); ++i) {
-      if (present_[i]) read_[i] = false;
+void SeededAloha::AfterDecode() {
+  // Carry the cancellations into the store, then drop records that
+  // resolved or emptied out (storage invariant: an open record keeps
+  // >= 2 unknown constituents).
+  for (std::size_t j = 0; j < records_.size(); ++j) {
+    auto& constituents = records_[j].constituents;
+    if (sic_.ResidualSize(frame_size_ + j) != constituents.size()) {
+      sic_.CopyResidual(frame_size_ + j, &constituents);
     }
   }
-  needs_frame_ = true;
-  return true;
-}
-
-void SeededAloha::StartFrame() {
-  ++metrics_.frames;
-  const auto backlog = static_cast<double>(unread_.size());
-  frame_size_ = std::clamp<std::uint64_t>(
-      static_cast<std::uint64_t>(std::llround(backlog / config_.target_load)),
-      config_.min_frame_size, config_.max_frame_size);
-
-  slot_cursor_ = 0;
-  frame_transmissions_ = 0;
-  slot_tags_.assign(frame_size_, {});
-  for (std::uint32_t tag : unread_) {
-    const SeededPattern p =
-        DeriveSeededPattern(population_[tag].Digest(), run_salt_,
-                            metrics_.frames, frame_size_, config_.degrees);
-    for (int i = 0; i < p.degree; ++i) {
-      slot_tags_[p.slots[i]].push_back(tag);
-      ++metrics_.tag_transmissions;
-    }
-    ++frame_transmissions_;
-  }
-}
-
-void SeededAloha::DecodeFrame() {
-  // Unified SIC over the current frame *and* the open cross-frame
-  // records. Every list's constituents are known up front (regenerated
-  // from the announced seeds), so a list reaching one unknown constituent
-  // yields that tag by subtraction — whether the list is a slot of this
-  // frame or a record stored many frames ago.
-  decoded_.assign(read_.size(), 0);
-  std::vector<std::vector<std::uint32_t>> working = slot_tags_;
-  // Ready-queue entries: [0, frame_size_) = current-frame slots,
-  // frame_size_ + j = stored record j.
-  std::vector<std::uint64_t> ready;
-  for (std::uint64_t s = 0; s < frame_size_; ++s) {
-    if (working[s].size() == 1) ready.push_back(s);
-  }
-  // Stored records enter each frame with >= 2 unknown constituents (the
-  // storage invariant below), so none start ready.
-
-  enum class Provenance : std::uint8_t { kSingleton, kInFrame, kStored };
-  std::vector<std::pair<std::uint32_t, Provenance>> reads;
-  std::vector<std::uint64_t> resolved_record_ids;
-
-  const auto cancel = [&](std::uint32_t tag) {
-    for (std::uint64_t s = 0; s < frame_size_; ++s) {
-      auto& tags = working[s];
-      const auto it = std::find(tags.begin(), tags.end(), tag);
-      if (it == tags.end()) continue;
-      tags.erase(it);
-      if (tags.size() == 1) ready.push_back(s);
-    }
-    for (std::size_t j = 0; j < records_.size(); ++j) {
-      auto& tags = records_[j].constituents;
-      const auto it = std::find(tags.begin(), tags.end(), tag);
-      if (it == tags.end()) continue;
-      tags.erase(it);
-      if (tags.size() == 1) ready.push_back(frame_size_ + j);
-    }
-  };
-
-  int iterations = 0;
-  std::size_t head = 0;
-  while (head < ready.size() &&
-         iterations < config_.max_ic_iterations *
-                          static_cast<int>(frame_size_ + records_.size())) {
-    const std::uint64_t idx = ready[head++];
-    ++iterations;
-    const bool stored = idx >= frame_size_;
-    auto& list = stored ? records_[idx - frame_size_].constituents
-                        : working[idx];
-    if (list.size() != 1) continue;
-    const std::uint32_t tag = list[0];
-    if (decoded_[tag]) continue;
-    decoded_[tag] = 1;
-    if (stored) {
-      reads.emplace_back(tag, Provenance::kStored);
-      resolved_record_ids.push_back(records_[idx - frame_size_].id);
-    } else {
-      reads.emplace_back(tag, slot_tags_[idx].size() == 1
-                                  ? Provenance::kSingleton
-                                  : Provenance::kInFrame);
-    }
-    cancel(tag);
-  }
-
-  std::size_t resolved_i = 0;
-  for (const auto& [tag, provenance] : reads) {
-    read_[tag] = true;
-    learned_this_step_.push_back(population_[tag]);
-    ++metrics_.tags_read;
-    if (provenance == Provenance::kSingleton) {
-      ++metrics_.ids_from_singletons;
-    } else {
-      ++metrics_.ids_from_collisions;
-    }
-    if (trace_) {
-      if (provenance == Provenance::kStored) {
-        trace::TraceEvent r;
-        r.kind = trace::EventKind::kRecordResolve;
-        r.slot = slot_index_;
-        r.frame = metrics_.frames;
-        r.record = resolved_record_ids[resolved_i];
-        r.id_digest = population_[tag].Digest();
-        r.cascade = true;  // resolved by cross-frame cancellation
-        trace_.Emit(r);
-      }
-      trace::TraceEvent e;
-      e.kind = trace::EventKind::kAck;
-      e.slot = slot_index_;
-      e.frame = metrics_.frames;
-      e.ack = provenance == Provenance::kSingleton
-                  ? trace::AckKind::kSingletonId
-                  : trace::AckKind::kSlotIndex;
-      e.id_digest = population_[tag].Digest();
-      trace_.Emit(e);
-    }
-    if (provenance == Provenance::kStored) ++resolved_i;
-  }
-
-  // Drop stored records that resolved or emptied out (storage invariant:
-  // an open record keeps >= 2 unknown constituents).
   records_.erase(std::remove_if(records_.begin(), records_.end(),
                                 [](const StoredRecord& r) {
                                   return r.constituents.size() < 2;
@@ -233,7 +96,7 @@ void SeededAloha::DecodeFrame() {
   // This frame's surviving collision slots become open records: their
   // constituents are known (seed headers), so they may resolve later.
   for (std::uint64_t s = 0; s < frame_size_; ++s) {
-    if (working[s].size() < 2) continue;
+    if (sic_.ResidualSize(s) < 2) continue;
     if (trace_) {
       trace::TraceEvent e;
       e.kind = trace::EventKind::kRecordOpen;
@@ -244,89 +107,21 @@ void SeededAloha::DecodeFrame() {
       // record_open; the slot's own kSlot event has the occupancy.
       trace_.Emit(e);
     }
-    records_.push_back({next_record_id_++, std::move(working[s])});
+    StoredRecord& record = records_.emplace_back();
+    record.id = next_record_id_++;
+    sic_.CopyResidual(s, &record.constituents);
   }
-  if (config_.store_capacity > 0) {
-    while (records_.size() > config_.store_capacity) {
-      records_.erase(records_.begin());
-      ++metrics_.records_evicted;
-    }
+  if (config_.store_capacity > 0 &&
+      records_.size() > config_.store_capacity) {
+    // Oldest first: records_ is in opening order.
+    const std::size_t excess = records_.size() - config_.store_capacity;
+    records_.erase(records_.begin(),
+                   records_.begin() + static_cast<std::ptrdiff_t>(excess));
+    metrics_.records_evicted += excess;
   }
 }
 
-void SeededAloha::Step() {
-  if (finished_) return;
-  learned_this_step_.clear();
-  if (needs_frame_) {
-    RebuildUnread();
-    StartFrame();
-    needs_frame_ = false;
-  }
-
-  const std::size_t occupancy = slot_tags_[slot_cursor_].size();
-  if (occupancy == 0) {
-    ++metrics_.empty_slots;
-    metrics_.elapsed_seconds += timing_.SlotSeconds();
-    EmitSlot(trace::SlotOutcome::kEmpty, 0);
-  } else if (occupancy == 1) {
-    ++metrics_.singleton_slots;
-    metrics_.elapsed_seconds += timing_.SlotSeconds();
-    EmitSlot(trace::SlotOutcome::kSingleton, 1);
-  } else {
-    ++metrics_.collision_slots;
-    metrics_.elapsed_seconds += timing_.SlotSeconds();
-    EmitSlot(trace::SlotOutcome::kCollision, occupancy);
-  }
-  ++slot_cursor_;
-
-  if (slot_cursor_ < frame_size_) return;
-
-  if (frame_transmissions_ > 0) DecodeFrame();
-  if (trace_) {
-    std::uint64_t n_c = 0;
-    for (const auto& tags : slot_tags_) n_c += tags.size() >= 2 ? 1 : 0;
-    trace::TraceEvent e;
-    e.kind = trace::EventKind::kFrame;
-    e.slot = slot_index_;
-    e.frame = metrics_.frames;
-    e.n_c = n_c;
-    e.record = records_.size();  // open-record store occupancy
-    e.estimate_q8 =
-        trace::QuantizeEstimate(static_cast<double>(unread_.size()));
-    e.elapsed_us = trace::QuantizeSeconds(metrics_.elapsed_seconds);
-    trace_.Emit(e);
-  }
-  if (frame_transmissions_ == 0) {
-    // Records only hold unread constituents, so a drained population has
-    // already emptied the store; anything left (livelock-capped run)
-    // is released and reported as unresolved.
-    metrics_.unresolved_records += records_.size();
-    records_.clear();
-    finished_ = true;
-    return;
-  }
-  // Next frame built lazily at its first Step() (see Irsa::Step) so
-  // boundary churn lands before the tags commit their patterns.
-  needs_frame_ = true;
-}
-
-void SeededAloha::SaveState(std::string* out) const {
-  SaveBaseState(out);
-  ser::PutVarint(*out, unread_.size());
-  for (std::uint32_t tag : unread_) ser::PutVarint(*out, tag);
-  ser::PutVarint(*out, read_.size());
-  for (bool b : read_) ser::PutBool(*out, b);
-  for (bool b : present_) ser::PutBool(*out, b);
-  ser::PutVarint(*out, frame_size_);
-  ser::PutVarint(*out, slot_cursor_);
-  ser::PutVarint(*out, frame_transmissions_);
-  ser::PutVarint(*out, slot_tags_.size());
-  for (const auto& slot : slot_tags_) {
-    ser::PutVarint(*out, slot.size());
-    for (std::uint32_t tag : slot) ser::PutVarint(*out, tag);
-  }
-  ser::PutBool(*out, needs_frame_);
-  ser::PutBool(*out, finished_);
+void SeededAloha::SaveStore(std::string* out) const {
   ser::PutVarint(*out, records_.size());
   for (const StoredRecord& record : records_) {
     ser::PutVarint(*out, record.id);
@@ -338,28 +133,7 @@ void SeededAloha::SaveState(std::string* out) const {
   ser::PutVarint(*out, next_record_id_);
 }
 
-bool SeededAloha::RestoreState(std::string_view bytes) {
-  ser::Reader r{bytes};
-  if (!RestoreBaseState(r)) return false;
-  unread_.assign(static_cast<std::size_t>(r.Varint()), 0);
-  for (std::uint32_t& tag : unread_) {
-    tag = static_cast<std::uint32_t>(r.Varint());
-  }
-  if (static_cast<std::size_t>(r.Varint()) != read_.size()) return false;
-  for (std::size_t i = 0; i < read_.size(); ++i) read_[i] = r.Bool();
-  for (std::size_t i = 0; i < present_.size(); ++i) present_[i] = r.Bool();
-  frame_size_ = r.Varint();
-  slot_cursor_ = r.Varint();
-  frame_transmissions_ = r.Varint();
-  slot_tags_.assign(static_cast<std::size_t>(r.Varint()), {});
-  for (auto& slot : slot_tags_) {
-    slot.assign(static_cast<std::size_t>(r.Varint()), 0);
-    for (std::uint32_t& tag : slot) {
-      tag = static_cast<std::uint32_t>(r.Varint());
-    }
-  }
-  needs_frame_ = r.Bool();
-  finished_ = r.Bool();
+void SeededAloha::RestoreStore(ser::Reader& r) {
   records_.assign(static_cast<std::size_t>(r.Varint()), StoredRecord{});
   for (StoredRecord& record : records_) {
     record.id = r.Varint();
@@ -369,8 +143,6 @@ bool SeededAloha::RestoreState(std::string_view bytes) {
     }
   }
   next_record_id_ = r.Varint();
-  learned_this_step_.clear();
-  return r.ok && r.AtEnd();
 }
 
 }  // namespace anc::protocols

@@ -33,10 +33,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "protocols/baseline_base.h"
+#include "protocols/coded_frame.h"
 #include "protocols/degree_dist.h"
 
 namespace anc::protocols {
@@ -56,50 +55,29 @@ SeededPattern DeriveSeededPattern(std::uint64_t tag_digest,
                                   std::uint64_t frame_size,
                                   const DegreeDistribution& degrees);
 
-struct SeededConfig {
+struct SeededConfig : FrameRule {
   DegreeDistribution degrees = DegreeDistribution::IrsaOptimal();
-  // Offered load G (tags/slot): slots = backlog / target_load.
-  double target_load = 0.9;
-  std::uint64_t min_frame_size = 8;
-  std::uint64_t max_frame_size = 1u << 15;
-  int max_ic_iterations = 50;
   // Cap on collision records kept open across frames (0 = unbounded).
   // Overflow drops the oldest record (counted in records_evicted).
   std::size_t store_capacity = 0;
 };
 
-class SeededAloha final : public BaselineBase {
+// Frame lifecycle, churn and checkpoint hooks: CodedFrameProtocol. A
+// departed tag's contributions to *stored* cross-frame records survive,
+// so a record can still resolve to a tag that already left the field —
+// the ghost-read path the service layer measures. A checkpoint appends
+// the record store to the frame state; run_salt_ is rederived at
+// construction (drawn before any other use of the stream) and then
+// confirmed by the restored RNG state.
+class SeededAloha final : public CodedFrameProtocol {
  public:
   SeededAloha(std::span<const TagId> population, anc::Pcg32 rng,
               phy::TimingModel timing, SeededConfig config = {});
-
-  void Step() override;
-  bool Finished() const override { return finished_; }
 
   // Stored cross-frame collision records; 0 after every completed run
   // (cleared at termination, counted into unresolved_records).
   std::size_t OpenPhyRecords() const override { return records_.size(); }
   void Shutdown() override { records_.clear(); }
-
-  // Churn hooks (src/service). Same frame-boundary semantics as Irsa;
-  // additionally, a departed tag's contributions to *stored* cross-frame
-  // records survive, so a record can still resolve to a tag that already
-  // left the field — the ghost-read path the service layer measures.
-  bool SupportsChurn() const override { return true; }
-  bool ArriveTag(const TagId& id) override;
-  bool DepartTag(const TagId& id) override;
-  bool BeginInventoryRound(bool refresh) override;
-  std::span<const TagId> LearnedThisStep() const override {
-    return learned_this_step_;
-  }
-
-  // Checkpoint hooks (sim::Protocol): the Irsa frame state plus the
-  // cross-frame record store. run_salt_ is rederived at construction
-  // (drawn before any other use of the stream) and then confirmed by the
-  // restored RNG state.
-  bool SupportsCheckpoint() const override { return true; }
-  void SaveState(std::string* out) const override;
-  bool RestoreState(std::string_view bytes) override;
 
  private:
   struct StoredRecord {
@@ -107,30 +85,17 @@ class SeededAloha final : public BaselineBase {
     std::vector<std::uint32_t> constituents;  // still-unread tags only
   };
 
-  void StartFrame();
-  void DecodeFrame();
-  void RebuildUnread();
-  std::uint32_t IndexOf(const TagId& id) const;
+  void PlaceReplicas(std::uint32_t tag) override;
+  void AddStoredLists() override;
+  void EmitStoredRead(std::uint32_t tag, std::size_t index) override;
+  void AfterDecode() override;
+  void SaveStore(std::string* out) const override;
+  void RestoreStore(anc::ser::Reader& r) override;
 
   SeededConfig config_;
   std::uint64_t run_salt_ = 0;
-  std::vector<std::uint32_t> unread_;
-  std::vector<bool> read_;
-  std::vector<bool> present_;
-  std::unordered_map<std::uint64_t, std::uint32_t> digest_to_index_;
-
-  std::uint64_t frame_size_ = 0;
-  std::uint64_t slot_cursor_ = 0;
-  std::uint64_t frame_transmissions_ = 0;
-  std::vector<std::vector<std::uint32_t>> slot_tags_;
-  bool needs_frame_ = true;
-  bool finished_ = false;
-
   std::vector<StoredRecord> records_;  // open cross-frame records (FIFO)
   std::uint64_t next_record_id_ = 0;
-
-  std::vector<std::uint8_t> decoded_;  // scratch
-  std::vector<TagId> learned_this_step_;
 };
 
 }  // namespace anc::protocols

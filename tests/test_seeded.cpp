@@ -132,6 +132,38 @@ TEST(SeededAloha, BoundedStoreEvictsAndStillReadsEverything) {
   EXPECT_GT(m.records_evicted, 0u);
 }
 
+TEST(SeededAloha, BoundedStoreEvictsOldestFirst) {
+  // A small store under a dense population evicts every frame. The store
+  // never holds more than its capacity at a frame boundary, and which
+  // records survive (oldest evicted first), their ids, the later
+  // resolves and the eviction count are pinned: the trace digest and
+  // counters below were recorded with the one-record-at-a-time eviction
+  // loop that the range erase replaced.
+  SeededConfig config;
+  config.store_capacity = 3;
+  const auto factory = core::MakeSeededFactory({}, config);
+  const trace::TraceFile file = RecordTrace(factory, 400, 1, 21);
+  ASSERT_EQ(file.runs.size(), 1u);
+  std::size_t opens = 0, resolves = 0;
+  for (const trace::TraceEvent& e : file.runs[0].events) {
+    opens += e.kind == trace::EventKind::kRecordOpen ? 1 : 0;
+    resolves += e.kind == trace::EventKind::kRecordResolve ? 1 : 0;
+    if (e.kind == trace::EventKind::kFrame) {
+      EXPECT_LE(e.record, config.store_capacity) << "frame " << e.frame;
+    }
+  }
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a over the trace
+  for (unsigned char c : trace::EncodeTrace(file)) {
+    digest = (digest ^ c) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(opens, 674u);
+  EXPECT_EQ(resolves, 9u);
+  EXPECT_EQ(digest, 6700145764257034759ULL);
+  const auto m = sim::RunOnce(factory, 400, 21);
+  EXPECT_EQ(m.tags_read, 400u);
+  EXPECT_EQ(m.records_evicted, 309u);
+}
+
 TEST(SeededAloha, TraceByteIdenticalAcrossThreadCounts) {
   // "Same seed → same replica pattern at any --threads": the pattern is a
   // pure function of (digest, salt, frame), so the serialized trace is
