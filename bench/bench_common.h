@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/cli.h"
@@ -78,6 +79,51 @@ inline std::string JsonStats(const RunningStats& s) {
          "}";
 }
 
+// Provenance of every JSON line: the checkout's HEAD commit (null outside
+// a git checkout, or when tracked files differ from HEAD, since the numbers
+// are then not that commit's), compiler, CMake build type and core count.
+#ifndef ANC_SOURCE_DIR
+#define ANC_SOURCE_DIR "."
+#endif
+#ifndef ANC_BUILD_TYPE
+#define ANC_BUILD_TYPE "unknown"
+#endif
+
+inline std::string JsonGitSha() {
+  std::string sha;
+  if (std::FILE* git =
+          popen("git -C '" ANC_SOURCE_DIR "' diff --quiet HEAD 2>/dev/null && "
+                "git -C '" ANC_SOURCE_DIR "' rev-parse HEAD 2>/dev/null",
+                "r")) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof buf, git) != nullptr) sha = buf;
+    pclose(git);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
+    sha.pop_back();
+  }
+  return sha.size() == 40 ? JsonStr(sha) : "null";
+}
+
+inline std::string JsonProvenance() {
+#if defined(__clang__)
+  const std::string compiler = "Clang " + std::to_string(__clang_major__) +
+                               "." + std::to_string(__clang_minor__) + "." +
+                               std::to_string(__clang_patchlevel__);
+#elif defined(__GNUC__)
+  const std::string compiler = "GNU " + std::to_string(__GNUC__) + "." +
+                               std::to_string(__GNUC_MINOR__) + "." +
+                               std::to_string(__GNUC_PATCHLEVEL__);
+#else
+  const std::string compiler = "unknown";
+#endif
+  return ",\"git_sha\":" + JsonGitSha() +
+         ",\"compiler\":" + JsonStr(compiler) +
+         ",\"build_type\":" + JsonStr(ANC_BUILD_TYPE) +
+         ",\"nproc\":" +
+         std::to_string(std::thread::hardware_concurrency());
+}
+
 inline void FlushJson() {
   JsonState& j = Json();
   if (j.path.empty()) return;
@@ -95,6 +141,7 @@ inline void FlushJson() {
                      ",\"seed\":" + std::to_string(j.seed) +
                      ",\"threads\":" + std::to_string(j.threads) +
                      ",\"full\":" + (j.full ? "true" : "false") +
+                     JsonProvenance() +
                      ",\"wall_seconds\":" + JsonNum(wall) + ",\"points\":[";
   for (std::size_t i = 0; i < j.points.size(); ++i) {
     if (i) line += ',';

@@ -100,8 +100,14 @@ int main(int argc, char** argv) {
   TextTable kernels({"kernel", "us/op", "Msamples/s"});
   signal::Buffer scratch;
   std::vector<std::uint8_t> bits_scratch;
-  TimeKernel("msk_encode", frame_samples, &kernels,
-             [&] { Keep(codec.Encode(id_a)); });
+  // msk_encode is the synthesis SignalPhy runs on a tag's first
+  // transmission: frame bits, then segment-table modulation (warm after
+  // the first call, as it is after a run's first few hundred segments).
+  signal::MskSegmentTable segments(codec.modulation());
+  TimeKernel("msk_encode", frame_samples, &kernels, [&] {
+    scratch.resize(frame_samples);
+    segments.ModulateInto(codec.FrameBits(id_a), scratch.data());
+  });
   TimeKernel("apply_channel", frame_samples, &kernels,
              [&] { signal::ApplyChannelInto(clean, ch_a, &scratch); });
   TimeKernel("add_awgn", frame_samples, &kernels, [&] {

@@ -30,11 +30,15 @@ TagId TagId::FromPayload(std::uint16_t payload_hi, std::uint64_t payload_lo) {
   TagId id;
   id.payload_hi_ = payload_hi;
   id.payload_lo_ = payload_lo;
-  std::vector<std::uint8_t> payload_bits;
-  payload_bits.reserve(kPayloadBits);
-  AppendBitsMsbFirst(payload_bits, payload_hi, 16);
-  AppendBitsMsbFirst(payload_bits, payload_lo, 64);
-  id.crc_ = Crc16Bits(payload_bits);
+  // The 80 payload bits MSB first are these 10 bytes MSB first, so the
+  // byte-wise CRC equals Crc16Bits over the payload of ToBits().
+  std::uint8_t bytes[kPayloadBits / 8];
+  bytes[0] = static_cast<std::uint8_t>(payload_hi >> 8);
+  bytes[1] = static_cast<std::uint8_t>(payload_hi);
+  for (int i = 0; i < 8; ++i) {
+    bytes[2 + i] = static_cast<std::uint8_t>(payload_lo >> (56 - 8 * i));
+  }
+  id.crc_ = Crc16(bytes);
   return id;
 }
 
@@ -43,7 +47,12 @@ bool TagId::FromBits(std::span<const std::uint8_t> bits, TagId* out) {
   if (!Crc16BitsValid(bits)) return false;
   const auto hi = static_cast<std::uint16_t>(ReadBitsMsbFirst(bits, 0, 16));
   const std::uint64_t lo = ReadBitsMsbFirst(bits, 16, 64);
-  *out = FromPayload(hi, lo);
+  // The CRC just validated is the one FromPayload would recompute; take
+  // it from the bits (no scratch vector on the decode path).
+  out->payload_hi_ = hi;
+  out->payload_lo_ = lo;
+  out->crc_ = static_cast<std::uint16_t>(
+      ReadBitsMsbFirst(bits, kPayloadBits, kCrcBits));
   return true;
 }
 

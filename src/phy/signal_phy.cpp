@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "signal/mixer.h"
 
@@ -97,14 +98,82 @@ class SignalPhy::DemodPool {
   bool stop_ = false;
 };
 
+// Sample blocks released by one SignalPhy, kept for the next. A run's
+// waveform cache, reference arena and record chunks come to megabytes,
+// all freed when the run ends; glibc then often unmaps or trims that
+// memory, and the next run faults every page back in (about 15% of a
+// signal-fcat slot). Each block role keeps its largest released block;
+// a later request of that role reuses it when it is large enough, so the
+// process holds at most one spare per role and the largest run's
+// footprint bounds the resident set.
+class SignalPhy::SpareBlocks {
+ public:
+  static SpareBlocks& Instance() {
+    static SpareBlocks* spares = new SpareBlocks;  // outlives every phy
+    return *spares;
+  }
+
+  SampleBlock Take(std::size_t role, std::size_t samples) {
+    Spare spare;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (role < kRoles) std::swap(spare, spares_[role]);
+    }
+    if (spare.block != nullptr && spare.samples >= samples) {
+      return {spare.block, SampleBlockFree{role, spare.samples}};
+    }
+    if (spare.block != nullptr) Free(spare);
+    return {std::allocator<Sample>().allocate(samples),
+            SampleBlockFree{role, samples}};
+  }
+
+  void Give(std::size_t role, Sample* block, std::size_t samples) {
+    Spare spare{block, samples};
+    if (role < kRoles) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (spares_[role].samples < samples) std::swap(spare, spares_[role]);
+    }
+    if (spare.block != nullptr) Free(spare);
+  }
+
+ private:
+  static constexpr std::size_t kRoles = 2 + 32;  // two arenas, 32 chunks
+  struct Spare {
+    Sample* block = nullptr;
+    std::size_t samples = 0;
+  };
+  static void Free(const Spare& spare) {
+    std::allocator<Sample>().deallocate(spare.block, spare.samples);
+  }
+
+  std::mutex mu_;
+  Spare spares_[kRoles];
+};
+
+void SignalPhy::SampleBlockFree::operator()(Sample* p) const {
+  SpareBlocks::Instance().Give(role, p, samples);
+}
+
+SignalPhy::SampleBlock SignalPhy::AllocateSamples(std::size_t role,
+                                                  std::size_t samples) {
+  return SpareBlocks::Instance().Take(role, samples);
+}
+
 SignalPhy::SignalPhy(std::span<const TagId> population,
                      SignalPhyConfig config, anc::Pcg32 rng)
     : population_(population),
       config_(config),
       rng_(rng),
       codec_(config.samples_per_bit, config.preamble_bits),
-      resolver_(config.subtraction, config.samples_per_bit),
-      references_(population.size()) {
+      segments_(codec_.modulation()),
+      resolver_(config.subtraction, config.samples_per_bit) {
+  id_slots_.assign(std::bit_ceil(2 * population.size() + 1), 0);
+  const std::size_t mask = id_slots_.size() - 1;
+  for (std::uint32_t i = 0; i < population.size(); ++i) {
+    std::size_t h = population[i].Digest() & mask;
+    while (id_slots_[h] != 0) h = (h + 1) & mask;
+    id_slots_[h] = i + 1;
+  }
   channels_.reserve(population.size());
   for (std::size_t i = 0; i < population.size(); ++i) {
     auto channel =
@@ -122,11 +191,15 @@ SignalPhy::SignalPhy(std::span<const TagId> population,
   frame_samples_ = codec_.frame_bits() *
                    static_cast<std::size_t>(config_.samples_per_bit);
   slab_samples_ = frame_samples_ + config_.max_timing_jitter_samples;
-  const std::size_t cache_samples = population.size() * frame_samples_;
-  wave_cache_ = {std::allocator<Sample>().allocate(cache_samples),
-                 SampleBlockFree{cache_samples}};
+  // Uninitialised: a tag's slices are written before they are read
+  // (wave_cached_, ref_length_).
+  wave_cache_ =
+      AllocateSamples(kWaveCacheRole, population.size() * frame_samples_);
   wave_cached_.assign(population.size(), 0);
-  ref_scratch_.resize(1);
+  ref_arena_ =
+      AllocateSamples(kReferenceRole, population.size() * slab_samples_);
+  ref_length_.assign(population.size(), 0);
+  resolve_scratch_.resize(1);
 }
 
 SignalPhy::~SignalPhy() = default;
@@ -134,16 +207,13 @@ SignalPhy::~SignalPhy() = default;
 std::span<const Sample> SignalPhy::CachedWaveform(std::uint32_t tag) {
   Sample* slot = wave_cache_.get() + frame_samples_ * tag;
   if (!wave_cached_[tag]) {
-    const Buffer unit = codec_.Encode(population_[tag]);
+    segments_.ModulateInto(codec_.FrameBits(population_[tag]), slot);
     if (channels_[tag].cfo_per_sample == 0.0) {
       // Slot-invariant rotation: cache the as-received waveform outright
       // (bit-identical to recomputing it per slot, since the slot phase
       // advance is cfo * slot * samples = 0).
-      Buffer applied;
-      anc::signal::ApplyChannelInto(unit, channels_[tag], &applied);
-      std::uninitialized_copy(applied.begin(), applied.end(), slot);
-    } else {
-      std::uninitialized_copy(unit.begin(), unit.end(), slot);
+      anc::signal::ApplyChannelInto({slot, frame_samples_}, channels_[tag],
+                                    slot);
     }
     wave_cached_[tag] = 1;
   }
@@ -174,9 +244,29 @@ std::uint32_t SignalPhy::AcquireSlab() {
     free_slabs_.pop_back();
     return slab;
   }
-  slab_pool_.resize(static_cast<std::size_t>(slab_count_ + 1) *
-                    slab_samples_);
+  const std::uint32_t chunk_slabs = kFirstChunkSlabs
+                                    << slab_chunks_.size();
+  if (slab_count_ == chunk_slabs - kFirstChunkSlabs) {  // all chunks full
+    slab_chunks_.push_back(AllocateSamples(
+        kFirstChunkRole + slab_chunks_.size(), chunk_slabs * slab_samples_));
+  }
   return slab_count_++;
+}
+
+void SignalPhy::SetReference(std::uint32_t tag, std::span<const Sample> wave) {
+  std::copy(wave.begin(), wave.end(), ref_arena_.get() + slab_samples_ * tag);
+  ref_length_[tag] = static_cast<std::uint32_t>(wave.size());
+}
+
+std::optional<std::uint32_t> SignalPhy::IndexOf(const TagId& id) const {
+  // Equal IDs share a probe sequence and were inserted in index order, so
+  // the first match is the lowest index holding the ID.
+  const std::size_t mask = id_slots_.size() - 1;
+  for (std::size_t h = id.Digest() & mask; id_slots_[h] != 0;
+       h = (h + 1) & mask) {
+    if (population_[id_slots_[h] - 1] == id) return id_slots_[h] - 1;
+  }
+  return std::nullopt;
 }
 
 void SignalPhy::ObserveOne(std::uint64_t slot_index,
@@ -208,9 +298,8 @@ void SignalPhy::ObserveOne(std::uint64_t slot_index,
   if (participants.size() == 1) {
     if (auto id = codec_.DecodeInto(mix_scratch_, &bits_scratch_)) {
       obs->singleton_id = *id;
-      // Keep the cleanest reception seen so far as the reference.
-      references_[participants[0]].assign(mix_scratch_.begin(),
-                                          mix_scratch_.end());
+      // The latest clean reception replaces any earlier reference.
+      SetReference(participants[0], mix_scratch_);
       return;
     }
   }
@@ -228,9 +317,7 @@ void SignalPhy::ObserveOne(std::uint64_t slot_index,
   record.length = static_cast<std::uint32_t>(mix_scratch_.size());
   record.mixture_order = static_cast<std::uint32_t>(participants.size());
   record.open = true;
-  std::copy(mix_scratch_.begin(), mix_scratch_.end(),
-            slab_pool_.data() +
-                static_cast<std::size_t>(record.slab) * slab_samples_);
+  std::copy(mix_scratch_.begin(), mix_scratch_.end(), SlabData(record.slab));
   ++open_records_;
   obs->record = records_.Push(record);
 }
@@ -245,90 +332,98 @@ void SignalPhy::ObserveBatch(const SlotBatch& batch,
   }
 }
 
-void SignalPhy::ComputeResolve(
-    const ResolveRequest& request, ResolveOutcome* outcome,
-    std::vector<std::span<const Sample>>* ref_scratch) const {
-  outcome->attempted = false;
-  outcome->result = anc::signal::ResolveResult{};
-  const Record* found = records_.Find(request.record);
-  if (found == nullptr || !found->open) return;
-  const Record& record = *found;
+bool SignalPhy::Attemptable(const ResolveRequest& request) const {
+  const Record* record = records_.Find(request.record);
+  if (record == nullptr || !record->open) return false;
   if (config_.max_mixture != 0 &&
-      record.mixture_order > config_.max_mixture) {
-    return;  // beyond the modeled ANC decoder capability
+      record->mixture_order > config_.max_mixture) {
+    return false;  // beyond the modeled ANC decoder capability
   }
-
-  ref_scratch->clear();
   for (std::uint32_t tag : request.known_participants) {
-    if (references_[tag].empty()) return;
-    ref_scratch->emplace_back(references_[tag]);
+    if (ref_length_[tag] == 0) return false;
   }
+  return true;
+}
 
-  outcome->result =
-      resolver_.ResolveLast(MixedOf(record),
-                            std::span<const std::span<const Sample>>(
-                                ref_scratch->data(), ref_scratch->size()),
-                            codec_.frame_bits());
-  outcome->attempted = true;
+std::optional<TagId> SignalPhy::Demodulate(const ResolveRequest& request,
+                                           ResolveScratch* scratch) const {
+  scratch->refs.clear();
+  for (std::uint32_t tag : request.known_participants) {
+    scratch->refs.push_back(ReferenceFor(tag));
+  }
+  resolver_.ResolveLastInto(MixedOf(*records_.Find(request.record)),
+                            scratch->refs, codec_.frame_bits(),
+                            &scratch->result);
+  if (!scratch->result.demodulated) return std::nullopt;
+  return codec_.DecodeBits(scratch->result.bits);
+}
+
+std::optional<TagId> SignalPhy::Fold(const ResolveRequest& request,
+                                     const std::optional<TagId>& id,
+                                     const Buffer* residual) {
+  if (!id) return std::nullopt;
+  // Reject pathological decodes of an already-known constituent (the
+  // CRC makes this astronomically unlikely, but it would corrupt
+  // bookkeeping).
+  for (std::uint32_t tag : request.known_participants) {
+    if (population_[tag] == *id) return std::nullopt;
+  }
+  const auto index = IndexOf(*id);
+  if (!index) return std::nullopt;  // noise forged a CRC
+  // Keep the extracted signal as the tag's reference for further cascade
+  // resolution, unless it already has one.
+  if (ref_length_[*index] == 0) {
+    if (residual == nullptr) {
+      (void)Demodulate(request, &resolve_scratch_[0]);
+      residual = &resolve_scratch_[0].result.residual;
+    }
+    SetReference(*index, *residual);
+  }
+  return id;
 }
 
 void SignalPhy::TryResolveBatch(std::span<const ResolveRequest> requests,
                                 std::span<std::optional<TagId>> out) {
-  // Phase 1 — the expensive, side-effect-free part (subtraction +
-  // demodulation), parallelizable because each request reads only the
-  // record slab and references frozen at batch entry: a tag resolved by
-  // one request of this batch can never appear in another request's known
-  // set (it was unknown when the batch was built).
-  outcomes_.resize(requests.size());
-  const bool use_pool =
-      config_.demod_pool_threads > 0 && requests.size() > 1;
-  if (use_pool) {
-    if (!pool_) {
-      pool_ = std::make_unique<DemodPool>(config_.demod_pool_threads);
-      ref_scratch_.resize(1 + config_.demod_pool_threads);
-    }
-    pool_->Run(requests.size(), [this, &requests](std::size_t i,
-                                                  unsigned worker) {
-      ComputeResolve(requests[i], &outcomes_[i], &ref_scratch_[worker]);
-    });
-  } else {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      ComputeResolve(requests[i], &outcomes_[i], &ref_scratch_[0]);
-    }
+  // Which requests are attempted is decided against the reference store
+  // as it stands at batch entry. The fold below only ever fills an empty
+  // reference, and an attempted request's known participants all had
+  // one, so nothing an attempted request reads changes during the batch:
+  // folding each request right after demodulating it, or after all of
+  // them, gives the same results, and so does any pool size.
+  if (attempted_.size() < requests.size()) {
+    attempted_.resize(requests.size());
+    decoded_.resize(requests.size());
+  }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    attempted_[i] = Attemptable(requests[i]) ? 1 : 0;
   }
 
-  // Phase 2 — fold in request order: CRC validation, bookkeeping rejects,
-  // and the reference-store side effect happen exactly as the sequential
-  // semantics dictate, so any pool size produces identical results.
+  if (config_.demod_pool_threads == 0 || requests.size() < 2) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      out[i] = std::nullopt;
+      if (!attempted_[i]) continue;
+      const auto id = Demodulate(requests[i], &resolve_scratch_[0]);
+      out[i] = Fold(requests[i], id, &resolve_scratch_[0].result.residual);
+    }
+    return;
+  }
+
+  // Pool: subtraction and demodulation (the expensive, side-effect-free
+  // part) run on the workers; the fold stays in request order on this
+  // thread and recomputes the residual of each request it keeps, since
+  // a worker's scratch holds only its latest one.
+  if (!pool_) {
+    pool_ = std::make_unique<DemodPool>(config_.demod_pool_threads);
+    resolve_scratch_.resize(1 + config_.demod_pool_threads);
+  }
+  pool_->Run(requests.size(), [this, &requests](std::size_t i,
+                                                unsigned worker) {
+    decoded_[i] = attempted_[i]
+                      ? Demodulate(requests[i], &resolve_scratch_[worker])
+                      : std::nullopt;
+  });
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    out[i] = std::nullopt;
-    ResolveOutcome& outcome = outcomes_[i];
-    if (!outcome.attempted || !outcome.result.demodulated) continue;
-    const auto id = codec_.DecodeBits(outcome.result.bits);
-    if (!id) continue;
-
-    // Reject pathological decodes of an already-known constituent (the
-    // CRC makes this astronomically unlikely, but it would corrupt
-    // bookkeeping).
-    bool known_constituent = false;
-    for (std::uint32_t tag : requests[i].known_participants) {
-      if (population_[tag] == *id) {
-        known_constituent = true;
-        break;
-      }
-    }
-    if (known_constituent) continue;
-
-    // Locate the resolved tag and keep its extracted signal as a
-    // reference for further cascade resolution.
-    const auto it = std::find(population_.begin(), population_.end(), *id);
-    if (it == population_.end()) continue;  // noise forged a CRC
-    const auto index =
-        static_cast<std::uint32_t>(std::distance(population_.begin(), it));
-    if (references_[index].empty()) {
-      references_[index] = std::move(outcome.result.residual);
-    }
-    out[i] = id;
+    out[i] = Fold(requests[i], decoded_[i], nullptr);
   }
 }
 

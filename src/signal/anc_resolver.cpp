@@ -36,10 +36,12 @@ bool SolveComplexSystem(std::vector<std::vector<Sample>>& g,
 
 }  // namespace
 
-Buffer AncResolver::SubtractReferences(
+void AncResolver::SubtractReferences(
     std::span<const Sample> mixed,
-    std::span<const std::span<const Sample>> references) const {
-  Buffer residual(mixed.begin(), mixed.end());
+    std::span<const std::span<const Sample>> references,
+    Buffer* residual_out) const {
+  Buffer& residual = *residual_out;
+  residual.assign(mixed.begin(), mixed.end());
   switch (mode_) {
     case SubtractionMode::kDirect: {
       for (const auto ref : references) {
@@ -97,7 +99,6 @@ Buffer AncResolver::SubtractReferences(
       break;
     }
   }
-  return residual;
 }
 
 ResolveResult AncResolver::ResolveLast(
@@ -105,13 +106,22 @@ ResolveResult AncResolver::ResolveLast(
     std::span<const std::span<const Sample>> references,
     std::size_t num_bits) const {
   ResolveResult result;
-  Buffer residual = SubtractReferences(mixed, references);
-  if (residual.empty()) return result;
-  result.residual_power = MeanPower(residual);
-  demod_.DemodulateInto(residual, num_bits, &result.bits);
-  result.demodulated = true;
-  result.residual = std::move(residual);
+  ResolveLastInto(mixed, references, num_bits, &result);
   return result;
+}
+
+void AncResolver::ResolveLastInto(
+    std::span<const Sample> mixed,
+    std::span<const std::span<const Sample>> references,
+    std::size_t num_bits, ResolveResult* result) const {
+  result->demodulated = false;
+  result->residual_power = 0.0;
+  result->bits.clear();
+  SubtractReferences(mixed, references, &result->residual);
+  if (result->residual.empty()) return;
+  result->residual_power = MeanPower(result->residual);
+  demod_.DemodulateInto(result->residual, num_bits, &result->bits);
+  result->demodulated = true;
 }
 
 ResolveResult AncResolver::ResolveLast(std::span<const Sample> mixed,

@@ -56,6 +56,13 @@ class AncResolver {
       std::span<const std::span<const Sample>> references,
       std::size_t num_bits) const;
 
+  // Allocation-free variant: refills result->bits and result->residual,
+  // reusing their capacity, so a caller that reuses one ResolveResult
+  // (per thread) allocates nothing once it is warm.
+  void ResolveLastInto(std::span<const Sample> mixed,
+                       std::span<const std::span<const Sample>> references,
+                       std::size_t num_bits, ResolveResult* result) const;
+
   // Convenience overload for owned buffers (tests and benches).
   [[nodiscard]] ResolveResult ResolveLast(std::span<const Sample> mixed,
                                           std::span<const Buffer> references,
@@ -64,9 +71,11 @@ class AncResolver {
   SubtractionMode mode() const { return mode_; }
 
  private:
-  Buffer SubtractReferences(
-      std::span<const Sample> mixed,
-      std::span<const std::span<const Sample>> references) const;
+  // Writes mixed minus the references into *residual_out (left empty
+  // when the mode cannot subtract them).
+  void SubtractReferences(std::span<const Sample> mixed,
+                          std::span<const std::span<const Sample>> references,
+                          Buffer* residual_out) const;
 
   SubtractionMode mode_;
   MskDemodulator demod_;

@@ -15,7 +15,11 @@ Buffer ApplyChannel(std::span<const Sample> x, const ChannelParams& params) {
 void ApplyChannelInto(std::span<const Sample> x, const ChannelParams& params,
                       Buffer* out) {
   out->resize(x.size());
-  Sample* dst = out->data();
+  ApplyChannelInto(x, params, out->data());
+}
+
+void ApplyChannelInto(std::span<const Sample> x, const ChannelParams& params,
+                      Sample* dst) {
   if (params.cfo_per_sample == 0.0) {
     // Static rotation: one complex constant, a pure vectorizable scale.
     const Sample h{params.gain * std::cos(params.phase),

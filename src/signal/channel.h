@@ -30,6 +30,11 @@ Buffer ApplyChannel(std::span<const Sample> x, const ChannelParams& params);
 void ApplyChannelInto(std::span<const Sample> x, const ChannelParams& params,
                       Buffer* out);
 
+// Channel-transforms x into out[0, x.size()). out may be x.data(): each
+// output sample depends only on the input sample at the same index.
+void ApplyChannelInto(std::span<const Sample> x, const ChannelParams& params,
+                      Sample* out);
+
 // Adds circularly-symmetric complex Gaussian noise of total power
 // `noise_power` = E|n|^2 to y in place. Draws per sample via the ziggurat
 // sampler (signal/fast_normal.h), two normals per sample.

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "signal/complex_buffer.h"
@@ -20,6 +21,14 @@ struct MskParams {
   double amplitude = 1.0;
   double initial_phase = 0.0;
 };
+
+// One bit interval: writes samples_per_bit samples to `out`, continuing
+// from `phase`, and returns the phase at the end of the bit. The phase is
+// accumulated sample by sample before each cos/sin, so a bit's samples
+// are a pure function of (exact start phase, bit). Every MSK sample in
+// the repo is computed here.
+double ModulateBit(std::uint8_t bit, double phase, int samples_per_bit,
+                   double amplitude, Sample* out);
 
 class MskModulator {
  public:
@@ -33,6 +42,41 @@ class MskModulator {
 
  private:
   MskParams params_;
+};
+
+// Memoized modulation. A frame's phase walk revisits the same exact
+// start phases, so every (start phase, bit) segment is computed once by
+// ModulateBit and copied afterwards: a few hundred segments serve a whole
+// population, instead of two libm calls per sample. Output is byte-
+// identical to MskModulator(params).Modulate(bits). Not thread-safe
+// (lookups fill the table).
+class MskSegmentTable {
+ public:
+  explicit MskSegmentTable(MskParams params);
+
+  // Writes bits.size() * samples_per_bit samples to `out`.
+  void ModulateInto(std::span<const std::uint8_t> bits, Sample* out);
+
+  // Computed (phase, bit) segments so far.
+  std::size_t segments() const { return segments_; }
+
+ private:
+  static constexpr std::uint32_t kUnset = ~std::uint32_t{0};
+
+  // One exact phase value; next[bit] is the phase node after that bit
+  // from here, whose samples sit at samples_[(2 * node + bit) * S].
+  struct Node {
+    double phase;
+    std::uint32_t next[2] = {kUnset, kUnset};
+  };
+
+  std::uint32_t NodeFor(double phase);
+
+  MskParams params_;
+  std::vector<Node> nodes_;
+  std::vector<Sample> samples_;
+  std::unordered_map<std::uint64_t, std::uint32_t> node_of_phase_;
+  std::size_t segments_ = 0;
 };
 
 class MskDemodulator {
@@ -55,6 +99,11 @@ class MskDemodulator {
   // Allocation-free variant for hot paths: clears and refills `bits`.
   void DemodulateInto(std::span<const Sample> y, std::size_t num_bits,
                       std::vector<std::uint8_t>* bits) const;
+
+  // Summed phase travel of bit k (samples past the end of y count as
+  // absent); the bit is 1 iff it is positive.
+  [[nodiscard]] double BitTravel(std::span<const Sample> y,
+                                 std::size_t k) const;
 
   int samples_per_bit() const { return samples_per_bit_; }
 

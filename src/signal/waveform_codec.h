@@ -45,6 +45,8 @@ class WaveformCodec {
     return static_cast<std::size_t>(preamble_bits_) + TagId::kTotalBits;
   }
   int samples_per_bit() const { return modulator_.params().samples_per_bit; }
+  // The modulation Encode uses (unit amplitude, zero initial phase).
+  const MskParams& modulation() const { return modulator_.params(); }
 
  private:
   int preamble_bits_;

@@ -58,5 +58,40 @@ TEST(SlotLoop, SteadyStateRoundsDoNotAllocate) {
   }
 }
 
+// The same contract over the waveform phy. Once every tag has transmitted
+// and the record chunks and resolve scratch are warm, an observed slot
+// (synthesis is cached; mixing, noise and demodulation run over scratch)
+// and a resolve (the residual lands in per-thread scratch and is copied
+// into the reference arena) allocate nothing, with or without the
+// demodulation pool.
+TEST(SlotLoop, SignalPhySteadyStateRoundsDoNotAllocate) {
+  anc::Pcg32 pop_rng(1);
+  const auto population = sim::MakePopulation(300, pop_rng);
+  for (unsigned demod_pool : {0u, 2u}) {
+    FcatSignalOptions options;
+    options.signal.snr_db = 25.0;
+    options.signal.demod_pool_threads = demod_pool;
+    FcatOnSignal fcat(population, anc::Pcg32(2), options);
+    for (std::uint64_t round = 0; round < 8; ++round) {
+      if (round > 0) {
+        ASSERT_TRUE(fcat.BeginInventoryRound(/*refresh=*/true));
+      }
+      const std::int64_t before = g_allocations.load();
+      std::uint64_t slots = 0;
+      while (!fcat.Finished()) {
+        fcat.Step();
+        ++slots;
+      }
+      const std::int64_t allocations = g_allocations.load() - before;
+      EXPECT_EQ(fcat.metrics().tags_read, (round + 1) * population.size());
+      if (round >= 4) {
+        EXPECT_EQ(allocations, 0) << "round " << round << " (" << slots
+                                  << " slots, demod pool " << demod_pool
+                                  << ")";
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace anc::core

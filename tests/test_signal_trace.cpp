@@ -7,6 +7,9 @@
 // a completed run must leave no collision record open in the phy arena.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "core/factories.h"
@@ -24,6 +27,27 @@ core::FcatSignalOptions SignalOptions(unsigned demod_pool) {
   o.signal.snr_db = 25.0;
   o.signal.demod_pool_threads = demod_pool;
   return o;
+}
+
+// The serialized trace of a small closed experiment, the way
+// `trace_inspect record` writes it.
+std::string RecordedTrace(const core::FcatSignalOptions& options,
+                          std::size_t n_tags, std::size_t runs,
+                          std::uint64_t seed) {
+  sim::ExperimentOptions eo;
+  eo.n_tags = n_tags;
+  eo.runs = runs;
+  eo.base_seed = seed;
+  trace::MultiRunRecorder recorder(eo.runs);
+  eo.trace_factory = recorder.Factory();
+  sim::RunExperiment(core::MakeFcatSignalFactory(options), eo);
+  return trace::EncodeTrace(recorder.File());
+}
+
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) digest = (digest ^ c) * 0x100000001b3ULL;
+  return digest;
 }
 
 std::string TraceBytes(std::size_t threads, unsigned demod_pool) {
@@ -50,6 +74,109 @@ TEST(SignalTrace, ByteIdenticalAcrossThreadsAndDemodPool) {
        {Config{4, 0}, Config{1, 3}, Config{4, 2}}) {
     EXPECT_EQ(TraceBytes(c.threads, c.demod_pool), reference)
         << "threads=" << c.threads << " demod_pool=" << c.demod_pool;
+  }
+}
+
+TEST(SignalTrace, GoldenReRecordsByteIdentical) {
+  // tests/golden/fcat_signal_smoke.trace is `trace_inspect record
+  // --protocol=fcat-signal --n=40 --runs=2 --seed=1`: synthesis, mixing,
+  // noise, demodulation and subtraction must reproduce it bit for bit,
+  // with and without the demodulation pool.
+  std::ifstream in(std::string(ANC_GOLDEN_DIR) + "/fcat_signal_smoke.trace",
+                   std::ios::binary);
+  ASSERT_TRUE(in);
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  for (unsigned demod_pool : {0u, 2u}) {
+    core::FcatSignalOptions o;
+    o.signal.demod_pool_threads = demod_pool;
+    EXPECT_TRUE(RecordedTrace(o, 40, 2, 1) == golden)
+        << "demod_pool=" << demod_pool;
+  }
+}
+
+TEST(SignalTrace, PhyKnobRunsMatchRecordedDigests) {
+  // The golden runs the default phy only. These FNV-1a digests pin every
+  // other waveform path bit for bit: timing jitter (offset mixing), CFO
+  // (per-slot rotation of the cached unit frame), capture (demodulating a
+  // raw mixture), least-squares and energy subtraction, and non-default
+  // samples per bit. At 12 dB slot outcomes hinge on the exact noise, so
+  // the trace digest moves with most sample-level changes; the reference
+  // digest covers every stored waveform byte directly (singleton
+  // receptions and subtraction residuals).
+  struct Case {
+    const char* name;
+    void (*apply)(core::FcatSignalOptions*);
+    std::uint64_t trace_digest;
+    std::uint64_t reference_digest;
+  };
+  const Case cases[] = {
+      {"default", [](core::FcatSignalOptions*) {}, 1426971739991363135ULL,
+       12465858131291335652ULL},
+      {"jitter",
+       [](core::FcatSignalOptions* o) {
+         o->signal.max_timing_jitter_samples = 2;
+       },
+       13981611636949024536ULL,
+       5223213714751972714ULL},
+      {"cfo",
+       [](core::FcatSignalOptions* o) {
+         o->signal.max_cfo_per_sample = 2e-4;
+       },
+       7049939801059471327ULL,
+       7331285617909145960ULL},
+      {"capture",
+       [](core::FcatSignalOptions* o) { o->signal.enable_capture = true; },
+       10452576415291242140ULL,
+       8039829657262293374ULL},
+      {"least-squares",
+       [](core::FcatSignalOptions* o) {
+         o->lambda = 3;
+         o->signal.subtraction = signal::SubtractionMode::kLeastSquares;
+       },
+       4996843063349463281ULL,
+       6749585977633922766ULL},
+      {"energy",
+       [](core::FcatSignalOptions* o) {
+         o->signal.subtraction = signal::SubtractionMode::kEnergy;
+       },
+       4967825330216639523ULL,
+       1800391642110987335ULL},
+      {"spb4",
+       [](core::FcatSignalOptions* o) { o->signal.samples_per_bit = 4; },
+       6811533470826904892ULL,
+       6237889468994908469ULL},
+      {"spb16",
+       [](core::FcatSignalOptions* o) { o->signal.samples_per_bit = 16; },
+       11643466080159002486ULL,
+       15128390798993797207ULL},
+  };
+  for (const Case& c : cases) {
+    for (unsigned demod_pool : {0u, 2u}) {
+      core::FcatSignalOptions o;
+      o.signal.snr_db = 12.0;
+      o.signal.demod_pool_threads = demod_pool;
+      c.apply(&o);
+      EXPECT_EQ(Fnv1a(RecordedTrace(o, 40, 2, 3)), c.trace_digest)
+          << c.name << " demod_pool=" << demod_pool;
+
+      Pcg32 pop_rng(3);
+      const auto population = sim::MakePopulation(40, pop_rng);
+      core::FcatOnSignal protocol(population, Pcg32(5), o);
+      std::size_t guard = 0;
+      while (!protocol.Finished() && ++guard < 600 * 40) protocol.Step();
+      std::string references;
+      for (std::uint32_t tag = 0; tag < population.size(); ++tag) {
+        const auto ref = protocol.signal_phy().ReferenceFor(tag);
+        const std::size_t samples = ref.size();
+        references.append(reinterpret_cast<const char*>(&samples),
+                          sizeof(samples));
+        references.append(reinterpret_cast<const char*>(ref.data()),
+                          ref.size() * sizeof(ref[0]));
+      }
+      EXPECT_EQ(Fnv1a(references), c.reference_digest)
+          << c.name << " demod_pool=" << demod_pool;
+    }
   }
 }
 
