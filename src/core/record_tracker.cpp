@@ -29,6 +29,15 @@ phy::RecordHandle RecordTracker::Register(
   state.knowns_cap = static_cast<std::uint32_t>(participants.size());
   knowns_arena_.resize(knowns_arena_.size() + participants.size());
   ++open_records_;
+  // OnIdKnown's scratch (and its output) holds at most one entry per open
+  // record. Sizing it here, when the open count sets a new peak, keeps the
+  // cascade from growing it at the extreme of one tag's chain length.
+  if (open_records_ > pending_scratch_.capacity()) {
+    const std::size_t capacity = 2 * open_records_;
+    pending_scratch_.reserve(capacity);
+    requests_scratch_.reserve(capacity);
+    results_scratch_.reserve(capacity);
+  }
   for (std::uint32_t tag : participants) {
     const auto node = static_cast<std::uint32_t>(chain_nodes_.size());
     chain_nodes_.push_back({handle, kNil});
@@ -96,6 +105,7 @@ std::optional<RecordTracker::Resolution> RecordTracker::AddKnownParticipant(
 void RecordTracker::OnIdKnown(std::uint32_t tag, phy::PhyInterface& phy,
                               std::vector<Resolution>* out) {
   out->clear();
+  out->reserve(pending_scratch_.capacity());  // grows only with Register's
   requests_scratch_.clear();
   pending_scratch_.clear();
   // Pass 1: feed the known into every open record the tag transmitted in

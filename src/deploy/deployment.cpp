@@ -1,8 +1,8 @@
 #include "deploy/deployment.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 namespace anc::deploy {
@@ -38,13 +38,16 @@ DeploymentProtocol::DeploymentProtocol(std::span<const TagId> tags,
   graph_ = BuildInterferenceGraph(grid);
 
   readers_.reserve(grid.size());
-  covered_by_.assign(tags.size(), {});
-  for (const Reader& position : grid) {
+  std::vector<std::vector<std::uint32_t>> covered(grid.size());
+  covered_offsets_.assign(tags.size() + 1, 0);
+  for (std::size_t r = 0; r < grid.size(); ++r) {
     auto state = std::make_unique<ReaderState>();
-    state->position = position;
-    for (std::uint32_t i : CoveredTags2D(position, points_)) {
+    state->position = grid[r];
+    covered[r] = CoveredTags2D(grid[r], points_);
+    state->covered_ids.reserve(covered[r].size());
+    for (std::uint32_t i : covered[r]) {
       state->covered_ids.push_back(tags[i]);
-      covered_by_[i].push_back(static_cast<std::uint32_t>(readers_.size()));
+      ++covered_offsets_[i + 1];
     }
     state->slot_cap =
         config.max_slots_per_tag * state->covered_ids.size() + 1000;
@@ -54,10 +57,27 @@ DeploymentProtocol::DeploymentProtocol(std::span<const TagId> tags,
   scheduler_ = MakeScheduler(config.policy, graph_, rng.Split());
   if (config.reader_death.enabled) resched_rng_ = rng.Split();
 
+  // Readers are visited in index order, so each tag's run of
+  // covered_readers_ comes out ascending.
+  std::partial_sum(covered_offsets_.begin(), covered_offsets_.end(),
+                   covered_offsets_.begin());
+  covered_readers_.resize(covered_offsets_.back());
+  std::vector<std::uint32_t> next(covered_offsets_.begin(),
+                                  covered_offsets_.end() - 1);
+  for (std::uint32_t r = 0; r < covered.size(); ++r) {
+    for (std::uint32_t i : covered[r]) covered_readers_[next[i]++] = r;
+  }
+
+  // Per step, each reader learns each covered tag at most once, and only
+  // learned IDs are broadcast: sized to the coverage, neither list grows
+  // in the slot loop.
+  learned_this_step_.reserve(covered_readers_.size());
+  broadcast_queue_.reserve(covered_readers_.size());
+
   identified_.assign(tags.size(), false);
-  digest_to_index_.reserve(tags.size());
+  digest_to_index_.Reserve(tags.size());
   for (std::uint32_t i = 0; i < tags.size(); ++i) {
-    digest_to_index_.emplace(tags[i].Digest(), i);
+    digest_to_index_.Insert(tags[i].Digest(), i);
   }
   pending_.assign(readers_.size(), false);
   name_ = "deploy-";
@@ -118,10 +138,10 @@ bool DeploymentProtocol::SupportsChurn() const {
 }
 
 bool DeploymentProtocol::ArriveTag(const TagId& id) {
-  const auto it = digest_to_index_.find(id.Digest());
-  if (it == digest_to_index_.end()) return false;
+  const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+  if (tag == DigestIndex::kNone) return false;
   bool accepted = false;
-  for (std::uint32_t r : covered_by_[it->second]) {
+  for (std::uint32_t r : CoveringReaders(tag)) {
     ReaderState& reader = *readers_[r];
     if (reader.dead) continue;
     if (reader.protocol->ArriveTag(id)) {
@@ -139,10 +159,10 @@ bool DeploymentProtocol::ArriveTag(const TagId& id) {
 }
 
 bool DeploymentProtocol::DepartTag(const TagId& id) {
-  const auto it = digest_to_index_.find(id.Digest());
-  if (it == digest_to_index_.end()) return false;
+  const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+  if (tag == DigestIndex::kNone) return false;
   bool accepted = false;
-  for (std::uint32_t r : covered_by_[it->second]) {
+  for (std::uint32_t r : CoveringReaders(tag)) {
     ReaderState& reader = *readers_[r];
     if (reader.dead) continue;
     accepted |= reader.protocol->DepartTag(id);
@@ -197,7 +217,7 @@ void DeploymentProtocol::Step() {
     return;
   }
 
-  const std::vector<std::uint32_t> active = scheduler_->NextSlot(pending_);
+  const std::span<const std::uint32_t> active = scheduler_->NextSlot(pending_);
   ++global_slots_;
 
   if (trace_) {
@@ -240,9 +260,9 @@ void DeploymentProtocol::Step() {
       const auto resolved = readers_[nb]->protocol->InjectKnownId(id);
       if (resolved.empty()) continue;
       shared_resolutions_ += resolved.size();
-      // Copy before the next InjectKnownId invalidates the span.
-      const std::vector<TagId> copy(resolved.begin(), resolved.end());
-      for (const TagId& rid : copy) {
+      // The span lives until nb's next Step()/InjectKnownId(), and this
+      // walk calls neither: no copy needed.
+      for (const TagId& rid : resolved) {
         MarkIdentified(rid);
         learned_this_step_.push_back(rid);
         Broadcast(nb, rid);
@@ -294,10 +314,10 @@ void DeploymentProtocol::Shutdown() {
 }
 
 void DeploymentProtocol::MarkIdentified(const TagId& id) {
-  const auto it = digest_to_index_.find(id.Digest());
-  if (it == digest_to_index_.end()) return;
-  if (!identified_[it->second]) {
-    identified_[it->second] = true;
+  const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+  if (tag == DigestIndex::kNone) return;
+  if (!identified_[tag]) {
+    identified_[tag] = true;
     ++unique_ids_;
   }
 }

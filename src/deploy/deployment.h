@@ -19,10 +19,10 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/digest_index.h"
 #include "deploy/geometry.h"
 #include "deploy/scheduler.h"
 #include "sim/metrics.h"
@@ -157,6 +157,12 @@ class DeploymentProtocol final : public sim::Protocol {
   void Broadcast(std::uint32_t reader, const TagId& id);
   void MarkIdentified(const TagId& id);
   void KillReader(std::size_t victim);
+  // Readers whose coverage disk contains tag `tag`, ascending.
+  std::span<const std::uint32_t> CoveringReaders(std::uint32_t tag) const {
+    return std::span<const std::uint32_t>(covered_readers_)
+        .subspan(covered_offsets_[tag],
+                 covered_offsets_[tag + 1] - covered_offsets_[tag]);
+  }
 
   std::string name_;
   std::span<const TagId> tags_;
@@ -172,9 +178,11 @@ class DeploymentProtocol final : public sim::Protocol {
 
   trace::TraceContext trace_;
   std::vector<bool> identified_;        // global merged inventory, by index
-  std::unordered_map<std::uint64_t, std::uint32_t> digest_to_index_;
-  // Churn routing: tag index -> readers covering it (grid order).
-  std::vector<std::vector<std::uint32_t>> covered_by_;
+  DigestIndex digest_to_index_;
+  // Churn routing, CSR: tag i is covered by covered_readers_[
+  // covered_offsets_[i] .. covered_offsets_[i + 1]).
+  std::vector<std::uint32_t> covered_offsets_;
+  std::vector<std::uint32_t> covered_readers_;
   std::vector<TagId> learned_this_step_;
   std::size_t unique_ids_ = 0;
   std::uint64_t global_slots_ = 0;

@@ -16,14 +16,18 @@ class SequentialScheduler final : public Scheduler {
 
   std::string_view name() const override { return "sequential"; }
 
-  std::vector<std::uint32_t> NextSlot(
+  std::span<const std::uint32_t> NextSlot(
       const std::vector<bool>& pending) override {
+    active_.clear();
     for (std::size_t step = 0; step < n_; ++step) {
       const std::uint32_t reader = cursor_;
       cursor_ = (cursor_ + 1) % n_;
-      if (pending[reader]) return {reader};
+      if (pending[reader]) {
+        active_.push_back(reader);
+        break;
+      }
     }
-    return {};
+    return active_;
   }
 
   void SaveState(std::string* out) const override {
@@ -59,18 +63,18 @@ class ColoringScheduler final : public Scheduler {
 
   std::string_view name() const override { return "coloring"; }
 
-  std::vector<std::uint32_t> NextSlot(
+  std::span<const std::uint32_t> NextSlot(
       const std::vector<bool>& pending) override {
-    for (std::size_t tried = 0; tried < classes_.size(); ++tried) {
+    active_.clear();
+    for (std::size_t tried = 0; tried < classes_.size() && active_.empty();
+         ++tried) {
       const auto& cls = classes_[next_class_];
       next_class_ = (next_class_ + 1) % classes_.size();
-      std::vector<std::uint32_t> active;
       for (std::uint32_t reader : cls) {
-        if (pending[reader]) active.push_back(reader);
+        if (pending[reader]) active_.push_back(reader);
       }
-      if (!active.empty()) return active;
     }
-    return {};
+    return active_;
   }
 
   void SaveState(std::string* out) const override {
@@ -109,17 +113,17 @@ class ColorwaveScheduler final : public Scheduler {
 
   std::string_view name() const override { return "colorwave"; }
 
-  std::vector<std::uint32_t> NextSlot(
+  std::span<const std::uint32_t> NextSlot(
       const std::vector<bool>& pending) override {
     if (round_slot_ >= round_length_) StartRound(pending);
-    std::vector<std::uint32_t> active;
+    active_.clear();
     for (std::uint32_t r = 0; r < graph_.size(); ++r) {
       if (pending[r] && !blocked_[r] && colors_[r] == round_slot_) {
-        active.push_back(r);
+        active_.push_back(r);
       }
     }
     ++round_slot_;
-    return active;
+    return active_;
   }
 
   void SaveState(std::string* out) const override {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,8 +35,10 @@ class Scheduler {
   // Advances the global TDMA clock by one slot: given which readers still
   // have work (`pending[r]`), returns the readers transmitting this slot.
   // The result is always an independent set of the interference graph —
-  // scheduling correctness, asserted by tests for every policy.
-  virtual std::vector<std::uint32_t> NextSlot(
+  // scheduling correctness, asserted by tests for every policy. It views
+  // scheduler-owned scratch, valid until the next NextSlot call, so a
+  // steady-state slot allocates nothing.
+  virtual std::span<const std::uint32_t> NextSlot(
       const std::vector<bool>& pending) = 0;
 
   // Checkpoint hooks (common/serialize.h wire format): the mutable
@@ -44,6 +47,9 @@ class Scheduler {
   // stays resumable by construction.
   virtual void SaveState(std::string* out) const = 0;
   virtual bool RestoreState(anc::ser::Reader& r) = 0;
+
+ protected:
+  std::vector<std::uint32_t> active_;  // NextSlot's result
 };
 
 // Greedy largest-degree-first proper coloring of the interference graph.

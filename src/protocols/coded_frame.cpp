@@ -5,10 +5,6 @@
 
 namespace anc::protocols {
 
-namespace {
-constexpr std::uint32_t kNoTag = ~std::uint32_t{0};
-}  // namespace
-
 CodedFrameProtocol::CodedFrameProtocol(std::string_view name,
                                        std::span<const TagId> population,
                                        anc::Pcg32 rng,
@@ -18,15 +14,10 @@ CodedFrameProtocol::CodedFrameProtocol(std::string_view name,
       rule_(rule),
       read_(population.size(), false),
       present_(population.size(), true) {
-  digest_to_index_.reserve(population.size() * 2);
+  digest_to_index_.Reserve(population.size());
   for (std::uint32_t i = 0; i < population.size(); ++i) {
-    digest_to_index_.emplace(population[i].Digest(), i);
+    digest_to_index_.Insert(population[i].Digest(), i);
   }
-}
-
-std::uint32_t CodedFrameProtocol::IndexOf(const TagId& id) const {
-  const auto it = digest_to_index_.find(id.Digest());
-  return it == digest_to_index_.end() ? kNoTag : it->second;
 }
 
 void CodedFrameProtocol::RebuildUnread() {
@@ -38,15 +29,15 @@ void CodedFrameProtocol::RebuildUnread() {
 }
 
 bool CodedFrameProtocol::ArriveTag(const TagId& id) {
-  const std::uint32_t tag = IndexOf(id);
-  if (tag == kNoTag) return false;
+  const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+  if (tag == DigestIndex::kNone) return false;
   present_[tag] = true;
   return true;
 }
 
 bool CodedFrameProtocol::DepartTag(const TagId& id) {
-  const std::uint32_t tag = IndexOf(id);
-  if (tag == kNoTag) return false;
+  const std::uint32_t tag = digest_to_index_.Find(id.Digest());
+  if (tag == DigestIndex::kNone) return false;
   present_[tag] = false;
   // Replicas already on the air stay buffered at the reader; the ones the
   // tag would have transmitted in the remainder of the frame vanish.

@@ -14,9 +14,9 @@
 // the buffered signals intact.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
+#include "common/digest_index.h"
 #include "protocols/baseline_base.h"
 #include "protocols/sic.h"
 
@@ -85,13 +85,12 @@ class CodedFrameProtocol : public BaselineBase {
   // the erase-based maintenance for a closed population, so RNG draw
   // order (and golden traces) are unchanged.
   void RebuildUnread();
-  std::uint32_t IndexOf(const TagId& id) const;
 
   FrameRule rule_;
   std::vector<std::uint32_t> unread_;
   std::vector<bool> read_;
   std::vector<bool> present_;
-  std::unordered_map<std::uint64_t, std::uint32_t> digest_to_index_;
+  DigestIndex digest_to_index_;
 
   // The first Step() of each frame builds it (deferred from the previous
   // boundary so churn applied between frames lands before the tags

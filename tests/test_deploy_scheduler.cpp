@@ -9,6 +9,11 @@
 namespace anc::deploy {
 namespace {
 
+// NextSlot's span dies at the next call; compare copies.
+std::vector<std::uint32_t> Copy(std::span<const std::uint32_t> active) {
+  return {active.begin(), active.end()};
+}
+
 InterferenceGraph RandomGraph(std::uint64_t seed, std::size_t n_readers) {
   anc::Pcg32 rng(seed);
   std::vector<Reader> readers;
@@ -104,7 +109,8 @@ TEST(DeployScheduler, ColoringCyclesColorClassesAndSkipsFinishedOnes) {
   auto scheduler =
       MakeScheduler(SchedulerPolicy::kColoring, graph, anc::Pcg32(1));
   std::vector<bool> pending(4, true);
-  auto sorted = [](std::vector<std::uint32_t> v) {
+  auto sorted = [](std::span<const std::uint32_t> active) {
+    std::vector<std::uint32_t> v = Copy(active);
     std::sort(v.begin(), v.end());
     return v;
   };
@@ -125,7 +131,8 @@ TEST(DeployScheduler, ColorwaveIsDeterministicForAFixedSeed) {
   auto b = MakeScheduler(SchedulerPolicy::kColorwave, graph, anc::Pcg32(77));
   const std::vector<bool> pending(12, true);
   for (int slot = 0; slot < 200; ++slot) {
-    EXPECT_EQ(a->NextSlot(pending), b->NextSlot(pending));
+    const std::vector<std::uint32_t> from_a = Copy(a->NextSlot(pending));
+    EXPECT_EQ(from_a, Copy(b->NextSlot(pending)));
   }
 }
 

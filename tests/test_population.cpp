@@ -30,6 +30,29 @@ TEST(Population, ValidCrcs) {
   }
 }
 
+// Pins the generator's draw-and-reject sequence: an FNV-1a digest over
+// every ID of a 10^5 population and the RNG's next draw afterwards, both
+// recorded before the duplicate filter moved from std::unordered_set to
+// DigestIndex.
+TEST(Population, PinnedDrawsAtScale) {
+  anc::Pcg32 rng(1);
+  const auto pop = MakePopulation(100000, rng);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  auto mix = [&digest](std::uint64_t value, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      digest = (digest ^ ((value >> (8 * b)) & 0xFF)) * 0x100000001b3ULL;
+    }
+  };
+  for (const TagId& id : pop) {
+    mix(id.payload_hi(), 2);
+    mix(id.payload_lo(), 8);
+    mix(id.crc(), 2);
+  }
+  ASSERT_EQ(pop.size(), 100000u);
+  EXPECT_EQ(digest, 0x0773fe7d63d33ab1ULL);
+  EXPECT_EQ(rng(), 4233893423u);
+}
+
 TEST(Population, SeedDeterminism) {
   anc::Pcg32 a(7), b(7), c(8);
   const auto pa = MakePopulation(100, a);
