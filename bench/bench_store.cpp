@@ -1,5 +1,6 @@
-// Trace-store microbench: compression ratio, write throughput and
-// seek-to-frame latency for the ANCSTORE container (src/store).
+// Trace-store microbench: compression ratio, write throughput,
+// seek-to-frame latency and epoch-window latency for the ANCSTORE
+// container (src/store).
 //
 // Records a deterministic FCAT-2 soak (service smoke profile) in memory,
 // then writes it through store::StoreWriter at two block sizes and times
@@ -13,6 +14,10 @@
 //   - block seek: FindBlockForFrame + ReadBlock (CRC check + LZ
 //     decompress + columnar decode of one block) — the cost of actually
 //     landing on the events.
+//   - epoch window: QueryEpochWindow over 4-epoch windows. The footer
+//     does not index epochs, so each run's first epoch query builds the
+//     run's epoch index (one projected decode per block, reported per
+//     run); the windows after it seek like frame windows.
 //
 // The compression ratio is measured against the v1 ANCTRACE encoding of
 // the same runs (EncodeTrace), i.e. file bytes over file bytes, matching
@@ -29,6 +34,7 @@
 #include "common/table.h"
 #include "service/service.h"
 #include "store/container.h"
+#include "store/query.h"
 #include "trace/binary.h"
 
 namespace {
@@ -50,6 +56,9 @@ struct StorePoint {
   double seek_index_ns = 0.0;     // FindBlockForFrame only
   double seek_block_us = 0.0;     // FindBlockForFrame + ReadBlock
   std::size_t seeks = 0;
+  double epoch_index_us = 0.0;    // a run's first epoch query, per run
+  double epoch_window_us = 0.0;   // later epoch window queries
+  std::size_t epoch_windows = 0;
 };
 
 // Writes `file` through the store at the given block size and times the
@@ -141,6 +150,47 @@ bool MeasurePoint(const trace::TraceFile& file, std::uint64_t raw_bytes,
                            ? 0.0
                            : Secs(b0, b1) * 1e6 / targets.size();
   out->seeks = targets.size();
+
+  // Epoch windows, spread over each run's epochs (kEpoch.frame counts
+  // epochs from 1). The first query of a run pays for its epoch index.
+  std::vector<std::pair<std::size_t, std::uint64_t>> epoch_targets;
+  constexpr std::uint64_t kEpochWindowsPerRun = 8;
+  for (std::size_t run = 0; run < file.runs.size(); ++run) {
+    std::uint64_t max_epoch = 0;
+    for (const trace::TraceEvent& e : file.runs[run].events) {
+      if (e.kind == trace::EventKind::kEpoch) max_epoch = e.frame;
+    }
+    for (std::uint64_t i = 0; i < kEpochWindowsPerRun && max_epoch > 0; ++i) {
+      epoch_targets.emplace_back(run,
+                                 1 + (max_epoch - 1) * i / kEpochWindowsPerRun);
+    }
+  }
+  const auto query_epochs = [&](std::size_t run, std::uint64_t lo) {
+    const std::string err =
+        store::QueryEpochWindow(reader, run, lo, lo + 3, &events);
+    if (!err.empty()) {
+      std::fprintf(stderr, "epoch window failed: %s\n", err.c_str());
+      return false;
+    }
+    decoded += events.size();
+    return true;
+  };
+  const auto e0 = std::chrono::steady_clock::now();
+  for (std::size_t run = 0; run < reader.runs().size(); ++run) {
+    if (!query_epochs(run, 1)) return false;
+  }
+  const auto e1 = std::chrono::steady_clock::now();
+  for (const auto& [run, lo] : epoch_targets) {
+    if (!query_epochs(run, lo)) return false;
+  }
+  const auto e2 = std::chrono::steady_clock::now();
+  out->epoch_index_us = reader.runs().empty()
+                            ? 0.0
+                            : Secs(e0, e1) * 1e6 / reader.runs().size();
+  out->epoch_window_us = epoch_targets.empty()
+                             ? 0.0
+                             : Secs(e1, e2) * 1e6 / epoch_targets.size();
+  out->epoch_windows = epoch_targets.size();
   return decoded > 0;
 }
 
@@ -186,7 +236,8 @@ int main(int argc, char** argv) {
       keep_path.empty() ? "bench_store.tmp.ancstore" : keep_path;
 
   TextTable table({"block events", "blocks", "store bytes", "ratio",
-                   "write MB/s", "idx seek ns", "block seek us"});
+                   "write MB/s", "idx seek ns", "block seek us",
+                   "epoch idx us/run", "epoch win us"});
   bench::detail::JsonState& j = bench::detail::Json();
   bool ok = true;
   // Small blocks first so the kept file (--trace) ends up written with
@@ -205,7 +256,9 @@ int main(int argc, char** argv) {
                   std::to_string(p.store_bytes), ratio_buf,
                   TextTable::Num(p.write_mbps, 1),
                   TextTable::Num(p.seek_index_ns, 0),
-                  TextTable::Num(p.seek_block_us, 1)});
+                  TextTable::Num(p.seek_block_us, 1),
+                  TextTable::Num(p.epoch_index_us, 1),
+                  TextTable::Num(p.epoch_window_us, 1)});
     if (!j.path.empty()) {
       using bench::detail::JsonNum;
       j.points.push_back(
@@ -220,7 +273,10 @@ int main(int argc, char** argv) {
           ",\"write_mbps\":" + JsonNum(p.write_mbps) +
           ",\"seek_index_ns\":" + JsonNum(p.seek_index_ns) +
           ",\"seek_block_us\":" + JsonNum(p.seek_block_us) +
-          ",\"seeks\":" + std::to_string(p.seeks) + "}");
+          ",\"seeks\":" + std::to_string(p.seeks) +
+          ",\"epoch_index_us\":" + JsonNum(p.epoch_index_us) +
+          ",\"epoch_window_us\":" + JsonNum(p.epoch_window_us) +
+          ",\"epoch_windows\":" + std::to_string(p.epoch_windows) + "}");
     }
   }
   if (keep_path.empty()) std::remove(tmp_path.c_str());
@@ -229,6 +285,8 @@ int main(int argc, char** argv) {
   std::printf("index seek is a binary search over per-run running-max "
               "frames: nanoseconds per seek should stay near-flat as "
               "blocks grow 8x (O(log n)); block seek adds one block's "
-              "CRC + decompress + decode.\n");
+              "CRC + decompress + decode. A run's first epoch query builds "
+              "its epoch index (one kEpoch-only decode per block); later "
+              "epoch windows seek.\n");
   return ok ? 0 : 1;
 }

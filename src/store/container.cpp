@@ -177,6 +177,28 @@ bool GetBlockMeta(wire::Reader& r, BlockMeta* m) {
   return r.ok;
 }
 
+// Events of each kind, stream order, as one counting-sorted index list:
+// kind k's events are order[start[k] .. start[k + 1]). The field columns
+// walk one kind's events at a time instead of rescanning the block.
+struct KindBuckets {
+  std::array<std::size_t, kMaxKind + 2> start{};
+  std::vector<std::size_t> order;
+};
+
+void BucketByKind(const std::vector<TraceEvent>& events, KindBuckets* b) {
+  std::array<std::size_t, 256> count{};
+  for (const TraceEvent& e : events) ++count[static_cast<std::uint8_t>(e.kind)];
+  for (std::uint8_t k = kMinKind; k <= kMaxKind; ++k) {
+    b->start[k + 1] = b->start[k] + count[k];
+  }
+  b->order.resize(b->start[kMaxKind + 1]);
+  auto next = b->start;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto k = static_cast<std::uint8_t>(events[i].kind);
+    if (k >= kMinKind && k <= kMaxKind) b->order[next[k]++] = i;
+  }
+}
+
 }  // namespace
 
 // ---- Columnar block payload ------------------------------------------------
@@ -204,14 +226,15 @@ std::string EncodeBlockPayload(const std::vector<TraceEvent>& events) {
   }
   // One column per (kind, field): values of that field across all events
   // of that kind, stream order. Cumulative clocks delta within the column.
+  KindBuckets buckets;
+  BucketByKind(events, &buckets);
   for (std::uint8_t k = kMinKind; k <= kMaxKind; ++k) {
-    const auto kind = static_cast<EventKind>(k);
-    const auto fields = trace::EventFields(kind);
+    const auto fields = trace::EventFields(static_cast<EventKind>(k));
     for (std::size_t f = 0; f < fields.size(); ++f) {
       prev = 0;
-      for (const TraceEvent& e : events) {
-        if (e.kind != kind) continue;
-        const std::uint64_t v = trace::GetEventField(e, f);
+      for (std::size_t c = buckets.start[k]; c < buckets.start[k + 1]; ++c) {
+        const std::uint64_t v =
+            trace::GetEventField(events[buckets.order[c]], f);
         if (fields[f].type == FieldSpec::Type::kByte) {
           wire::PutByte(out, static_cast<std::uint8_t>(v));
         } else if (fields[f].cumulative_clock) {
@@ -228,7 +251,8 @@ std::string EncodeBlockPayload(const std::vector<TraceEvent>& events) {
 
 std::string DecodeBlockPayload(std::string_view raw,
                                std::uint64_t expect_events,
-                               std::vector<TraceEvent>* out) {
+                               std::vector<TraceEvent>* out,
+                               std::optional<EventKind> only) {
   out->clear();
   wire::Reader r{raw};
   const std::uint64_t n = r.Varint();
@@ -238,38 +262,61 @@ std::string DecodeBlockPayload(std::string_view raw,
            std::to_string(expect_events);
   }
   if (n > raw.size()) return "event count exceeds payload size";
-  out->resize(static_cast<std::size_t>(n));
-  std::array<std::uint64_t, kMaxKind + 1> per_kind{};
-  for (TraceEvent& e : *out) {
+  // The kind column is one byte per event: validate it in place and keep
+  // a view of it to tell kept events from projected-away ones.
+  const std::string_view kinds = raw.substr(r.pos, static_cast<std::size_t>(n));
+  std::array<std::size_t, kMaxKind + 1> per_kind{};
+  for (std::uint64_t i = 0; i < n; ++i) {
     const std::uint8_t kb = r.Byte();
     if (!r.ok) return "truncated kind column";
     if (!trace::ValidEventKind(kb)) {
       return "invalid event kind " + std::to_string(kb) + " in kind column";
     }
-    e.kind = static_cast<EventKind>(kb);
     ++per_kind[kb];
   }
-  for (TraceEvent& e : *out) {
-    e.reader = static_cast<std::uint32_t>(r.Varint());
+  const auto keep = [&](std::uint8_t kb) {
+    return !only || kb == static_cast<std::uint8_t>(*only);
+  };
+  std::size_t n_out = 0;
+  for (std::uint8_t k = kMinKind; k <= kMaxKind; ++k) {
+    if (keep(k)) n_out += per_kind[k];
+  }
+  out->resize(n_out);
+  std::size_t j = 0;
+  for (const char c : kinds) {
+    const auto kb = static_cast<std::uint8_t>(c);
+    if (keep(kb)) (*out)[j++].kind = static_cast<EventKind>(kb);
+  }
+  KindBuckets buckets;
+  BucketByKind(*out, &buckets);
+  j = 0;
+  for (const char c : kinds) {
+    const std::uint64_t v = r.Varint();
+    if (keep(static_cast<std::uint8_t>(c))) {
+      (*out)[j++].reader = static_cast<std::uint32_t>(v);
+    }
   }
   std::uint64_t prev = 0;
-  for (TraceEvent& e : *out) {
-    e.slot = prev + UnZigZag(r.Varint());
-    prev = e.slot;
+  j = 0;
+  for (const char c : kinds) {
+    prev += UnZigZag(r.Varint());
+    if (keep(static_cast<std::uint8_t>(c))) (*out)[j++].slot = prev;
   }
   prev = 0;
-  for (TraceEvent& e : *out) {
-    e.frame = prev + UnZigZag(r.Varint());
-    prev = e.frame;
+  j = 0;
+  for (const char c : kinds) {
+    prev += UnZigZag(r.Varint());
+    if (keep(static_cast<std::uint8_t>(c))) (*out)[j++].frame = prev;
   }
   if (!r.ok) return "truncated reader/slot/frame columns";
+  // Every column is parsed and range-checked; only kept kinds are stored.
   for (std::uint8_t k = kMinKind; k <= kMaxKind; ++k) {
     const auto kind = static_cast<EventKind>(k);
     const auto fields = trace::EventFields(kind);
+    const bool kept = keep(k);
     for (std::size_t f = 0; f < fields.size(); ++f) {
       prev = 0;
-      for (TraceEvent& e : *out) {
-        if (e.kind != kind) continue;
+      for (std::size_t c = 0; c < per_kind[k]; ++c) {
         std::uint64_t v;
         if (fields[f].type == FieldSpec::Type::kByte) {
           v = r.Byte();
@@ -283,7 +330,10 @@ std::string DecodeBlockPayload(std::string_view raw,
         } else {
           v = r.Varint();
         }
-        trace::SetEventField(e, f, v);
+        if (kept) {
+          trace::SetEventField((*out)[buckets.order[buckets.start[k] + c]], f,
+                               v);
+        }
       }
     }
   }
@@ -708,14 +758,7 @@ std::string StoreReader::OpenLegacy(std::string bytes,
     run.n_blocks = blocks_.size() - run.first_block;
     runs_.push_back(std::move(run));
   }
-  cummax_frame_.resize(runs_.size());
-  for (std::size_t ri = 0; ri < runs_.size(); ++ri) {
-    std::uint64_t running = 0;
-    for (std::size_t b = 0; b < runs_[ri].n_blocks; ++b) {
-      running = std::max(running, blocks_[runs_[ri].first_block + b].max_frame);
-      cummax_frame_[ri].push_back(running);
-    }
-  }
+  BuildSeekIndex();
   return "";
 }
 
@@ -850,7 +893,12 @@ std::string StoreReader::OpenStore(const std::string& path) {
       return path + ": run block range outside index";
     }
   }
-  cummax_frame_.resize(runs_.size());
+  BuildSeekIndex();
+  return "";
+}
+
+void StoreReader::BuildSeekIndex() {
+  cummax_frame_.assign(runs_.size(), {});
   for (std::size_t ri = 0; ri < runs_.size(); ++ri) {
     std::uint64_t running = 0;
     for (std::size_t b = 0; b < runs_[ri].n_blocks; ++b) {
@@ -858,30 +906,34 @@ std::string StoreReader::OpenStore(const std::string& path) {
       cummax_frame_[ri].push_back(running);
     }
   }
-  return "";
+  epoch_index_.assign(runs_.size(), {});
 }
 
 std::string StoreReader::ReadBlock(std::size_t index,
-                                   std::vector<trace::TraceEvent>* out) {
+                                   std::vector<trace::TraceEvent>* out,
+                                   std::optional<EventKind> only) {
   out->clear();
   if (index >= blocks_.size()) {
     return "block index " + std::to_string(index) + " out of range";
   }
+  ++blocks_decoded_;
   const BlockMeta& meta = blocks_[index];
   const auto tag = [&](const std::string& what) {
     return "block " + std::to_string(index) + ": " + what;
   };
-  std::string payload;
+  std::string_view payload;
   if (legacy_) {
-    payload = legacy_bytes_.substr(static_cast<std::size_t>(meta.offset),
-                                   static_cast<std::size_t>(meta.comp_len));
+    payload = std::string_view(legacy_bytes_)
+                  .substr(static_cast<std::size_t>(meta.offset),
+                          static_cast<std::size_t>(meta.comp_len));
   } else {
-    payload.resize(static_cast<std::size_t>(meta.comp_len));
+    payload_buf_.resize(static_cast<std::size_t>(meta.comp_len));
     std::fseek(file_, static_cast<long>(meta.offset), SEEK_SET);
-    if (std::fread(payload.data(), 1, payload.size(), file_) !=
-        payload.size()) {
+    if (std::fread(payload_buf_.data(), 1, payload_buf_.size(), file_) !=
+        payload_buf_.size()) {
       return tag("short read");
     }
+    payload = payload_buf_;
   }
   if (Crc32(payload) != meta.crc32) {
     return tag("payload CRC mismatch (corrupt data)");
@@ -889,27 +941,26 @@ std::string StoreReader::ReadBlock(std::size_t index,
   if (legacy_) {
     // Pseudo-block over v1 row-format bytes: decode events directly.
     wire::Reader r{payload};
-    out->reserve(static_cast<std::size_t>(meta.n_events));
+    if (!only) out->reserve(static_cast<std::size_t>(meta.n_events));
     for (std::uint64_t i = 0; i < meta.n_events; ++i) {
       const std::uint8_t kind = r.Byte();
       trace::TraceEvent e;
       if (!r.ok || !trace::DecodeEvent(r, kind, &e)) {
         return tag("corrupt v1 event");
       }
-      out->push_back(e);
+      if (!only || e.kind == *only) out->push_back(e);
     }
     if (!r.AtEnd()) return tag("trailing bytes in v1 block");
     return "";
   }
-  std::string raw;
-  if (meta.comp_len == meta.raw_len) {
-    raw = std::move(payload);
-  } else {
-    const std::string err =
-        LzDecompress(payload, static_cast<std::size_t>(meta.raw_len), &raw);
+  std::string_view raw = payload;
+  if (meta.comp_len != meta.raw_len) {
+    const std::string err = LzDecompress(
+        payload, static_cast<std::size_t>(meta.raw_len), &raw_buf_);
     if (!err.empty()) return tag(err);
+    raw = raw_buf_;
   }
-  const std::string err = DecodeBlockPayload(raw, meta.n_events, out);
+  const std::string err = DecodeBlockPayload(raw, meta.n_events, out, only);
   return err.empty() ? "" : tag(err);
 }
 
@@ -921,6 +972,45 @@ std::size_t StoreReader::FindBlockForFrame(std::size_t run_ordinal,
   if (it == cummax.end()) return kNoBlock;
   return runs_[run_ordinal].first_block +
          static_cast<std::size_t>(it - cummax.begin());
+}
+
+std::string StoreReader::BuildEpochIndex(std::size_t run_ordinal) {
+  const StoredRun& run = runs_[run_ordinal];
+  EpochIndex index;
+  index.first = run.n_blocks;
+  std::uint64_t running = 0;
+  std::vector<TraceEvent> epochs;
+  for (std::size_t b = 0; b < run.n_blocks; ++b) {
+    const std::string err =
+        ReadBlock(run.first_block + b, &epochs, EventKind::kEpoch);
+    if (!err.empty()) return err;
+    if (index.first == run.n_blocks) {
+      if (epochs.empty()) continue;
+      index.first = b;
+    }
+    for (const TraceEvent& e : epochs) running = std::max(running, e.frame);
+    index.cummax.push_back(running);
+  }
+  index.built = true;
+  epoch_index_[run_ordinal] = std::move(index);
+  return "";
+}
+
+std::size_t StoreReader::FindBlockForEpoch(std::size_t run_ordinal,
+                                           std::uint64_t epoch,
+                                           std::string* err) {
+  err->clear();
+  if (run_ordinal >= runs_.size()) return kNoBlock;
+  if (!epoch_index_[run_ordinal].built) {
+    *err = BuildEpochIndex(run_ordinal);
+    if (!err->empty()) return kNoBlock;
+  }
+  const EpochIndex& index = epoch_index_[run_ordinal];
+  const auto it =
+      std::lower_bound(index.cummax.begin(), index.cummax.end(), epoch);
+  if (it == index.cummax.end()) return kNoBlock;
+  return runs_[run_ordinal].first_block + index.first +
+         static_cast<std::size_t>(it - index.cummax.begin());
 }
 
 std::string StoreReader::ReadAll(trace::TraceFile* out) {

@@ -36,9 +36,11 @@
 // The footer indexes every block with its (run, frame, slot) coverage
 // plus cumulative per-run counters (acks, arrivals, departures,
 // detections, live population), which is what lets the query layer
-// (store/query.h) answer summary/timeseries/epoch-window questions from
-// the index plus O(1) block decodes — seek-to-frame is a binary search
-// over the per-run running-max frame, O(log n_blocks).
+// (store/query.h) answer summary/timeseries questions from the index
+// alone and frame windows from a seek — a binary search over the per-run
+// running-max frame, O(log n_blocks). Epochs are not in the footer: the
+// reader builds a per-run running-max epoch vector on a run's first
+// epoch lookup, then seeks epoch windows the same way.
 //
 // Integrity: the trailer carries a CRC over the footer and every block
 // carries a CRC over its stored payload. Truncation, bit flips and
@@ -49,6 +51,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -255,9 +258,12 @@ class StoreReader {
   const std::vector<StoredRun>& runs() const { return runs_; }
   const std::vector<BlockMeta>& blocks() const { return blocks_; }
 
-  // Decodes one block (CRC-verified). Returns "" on success.
+  // Decodes one block (CRC-verified). Returns "" on success. With `only`
+  // set, the block is still parsed and validated in full but only events
+  // of that kind are materialized (the projected decode of epoch work).
   std::string ReadBlock(std::size_t index,
-                        std::vector<trace::TraceEvent>* out);
+                        std::vector<trace::TraceEvent>* out,
+                        std::optional<trace::EventKind> only = std::nullopt);
 
   // First block of `run_ordinal` that can contain an event of `frame`
   // (binary search over running-max frame). kNoBlock when the frame is
@@ -265,12 +271,36 @@ class StoreReader {
   std::size_t FindBlockForFrame(std::size_t run_ordinal,
                                 std::uint64_t frame) const;
 
+  // First block of `run_ordinal` that can contain a kEpoch event with
+  // epoch index >= `epoch` (binary search over the run's running-max
+  // epoch). kNoBlock when no epoch of the run reaches it. The footer does
+  // not index epochs, so the first call for a run builds that run's
+  // epoch index from a projected decode of every block of the run: a
+  // corrupt block anywhere in the run fails the call (kNoBlock, `err`
+  // set), and so does every retry.
+  std::size_t FindBlockForEpoch(std::size_t run_ordinal, std::uint64_t epoch,
+                                std::string* err);
+
+  // Block decodes this reader has attempted (ReadBlock calls, the epoch
+  // index passes included).
+  std::uint64_t blocks_decoded() const { return blocks_decoded_; }
+
   // Full decode, for round-trip verification and format conversion.
   std::string ReadAll(trace::TraceFile* out);
 
  private:
   std::string OpenLegacy(std::string bytes, const std::string& path);
   std::string OpenStore(const std::string& path);
+  void BuildSeekIndex();
+  std::string BuildEpochIndex(std::size_t run_ordinal);
+
+  // Per run, built on the first epoch lookup: running max epoch per block
+  // from the run's first epoch-bearing block on.
+  struct EpochIndex {
+    bool built = false;
+    std::size_t first = 0;  // first block (in run) with an epoch, or n_blocks
+    std::vector<std::uint64_t> cummax;  // blocks [first, n_blocks)
+  };
 
   std::FILE* file_ = nullptr;   // store mode
   std::string legacy_bytes_;    // legacy mode: raw v1 file bytes
@@ -279,6 +309,10 @@ class StoreReader {
   std::vector<BlockMeta> blocks_;
   // Per run: running max frame per block, the seek search structure.
   std::vector<std::vector<std::uint64_t>> cummax_frame_;
+  std::vector<EpochIndex> epoch_index_;
+  // ReadBlock scratch buffers, reused across block decodes.
+  std::string payload_buf_, raw_buf_;
+  std::uint64_t blocks_decoded_ = 0;
   std::uint64_t file_bytes_ = 0;
   std::uint64_t store_version_ = 0;
   OpenFailure open_failure_ = OpenFailure::kNone;
@@ -314,9 +348,13 @@ std::string RecoverStoreFile(const std::string& in_path,
 // that exactly `expect_events` events are present and the payload is
 // fully consumed.
 std::string EncodeBlockPayload(const std::vector<trace::TraceEvent>& events);
+// With `only` set, every column is still parsed and validated (same
+// errors, same order) but only events of that kind land in `out`.
 std::string DecodeBlockPayload(std::string_view raw,
                                std::uint64_t expect_events,
-                               std::vector<trace::TraceEvent>* out);
+                               std::vector<trace::TraceEvent>* out,
+                               std::optional<trace::EventKind> only =
+                                   std::nullopt);
 
 // One-shot conveniences (compress / decompress whole files).
 std::string WriteStoreFile(const std::string& path,

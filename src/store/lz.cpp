@@ -1,6 +1,7 @@
 #include "store/lz.h"
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace anc::store {
@@ -118,23 +119,24 @@ std::string LzCompress(std::string_view raw) {
 std::string LzDecompress(std::string_view comp, std::size_t raw_len,
                          std::string* out) {
   out->clear();
-  out->reserve(raw_len);
   if (comp.empty()) {
     return raw_len == 0 ? "" : "empty compressed block for nonzero size";
   }
-  const auto err_at = [](const char* what, std::size_t pos) {
+  // Decode straight into the declared size; `o` counts the bytes produced
+  // so far, and every failure trims `out` back to them.
+  out->resize(raw_len);
+  char* const dst = out->data();
+  std::size_t o = 0;
+  const auto fail = [&](const char* what, std::size_t pos) {
+    out->resize(o);
     return std::string(what) + " at compressed offset " + std::to_string(pos);
   };
   std::size_t i = 0;
-  const auto read_len = [&](std::size_t base, std::size_t* v,
-                            std::string* err) {
+  const auto read_len = [&](std::size_t base, std::size_t* v) {
     *v = base;
     if (base < 15) return true;
     for (;;) {
-      if (i >= comp.size()) {
-        *err = err_at("truncated length extension", i);
-        return false;
-      }
+      if (i >= comp.size()) return false;
       const auto b = static_cast<std::uint8_t>(comp[i++]);
       *v += b;
       if (b < 255) return true;
@@ -143,37 +145,45 @@ std::string LzDecompress(std::string_view comp, std::size_t raw_len,
 
   while (i < comp.size()) {
     const auto token = static_cast<std::uint8_t>(comp[i++]);
-    std::string err;
     std::size_t lit = 0;
-    if (!read_len(token >> 4, &lit, &err)) return err;
-    if (i + lit > comp.size()) return err_at("truncated literals", i);
-    if (out->size() + lit > raw_len) {
-      return err_at("literal run overflows declared size", i);
+    if (!read_len(token >> 4, &lit)) {
+      return fail("truncated length extension", i);
     }
-    out->append(comp.substr(i, lit));
+    if (i + lit > comp.size()) return fail("truncated literals", i);
+    if (o + lit > raw_len) {
+      return fail("literal run overflows declared size", i);
+    }
+    std::memcpy(dst + o, comp.data() + i, lit);
+    o += lit;
     i += lit;
     if (i == comp.size()) break;  // final sequence: literals end the stream
-    if (i + 2 > comp.size()) return err_at("truncated match offset", i);
+    if (i + 2 > comp.size()) return fail("truncated match offset", i);
     const std::size_t dist = static_cast<std::uint8_t>(comp[i]) |
                              static_cast<std::size_t>(
                                  static_cast<std::uint8_t>(comp[i + 1]))
                                  << 8;
     i += 2;
-    if (dist == 0 || dist > out->size()) {
-      return err_at("match offset outside produced output", i - 2);
+    if (dist == 0 || dist > o) {
+      return fail("match offset outside produced output", i - 2);
     }
     std::size_t match = 0;
-    if (!read_len(token & 0x0F, &match, &err)) return err;
-    match += kMinMatch;
-    if (out->size() + match > raw_len) {
-      return err_at("match overflows declared size", i);
+    if (!read_len(token & 0x0F, &match)) {
+      return fail("truncated length extension", i);
     }
-    // Byte-at-a-time copy: overlapping matches (dist < len) replicate.
-    std::size_t src = out->size() - dist;
-    for (std::size_t k = 0; k < match; ++k) out->push_back((*out)[src + k]);
+    match += kMinMatch;
+    if (o + match > raw_len) return fail("match overflows declared size", i);
+    const char* src = dst + o - dist;
+    if (dist >= match) {
+      std::memcpy(dst + o, src, match);
+    } else {
+      // Overlapping match (dist < len): byte order replicates the period.
+      for (std::size_t k = 0; k < match; ++k) dst[o + k] = src[k];
+    }
+    o += match;
   }
-  if (out->size() != raw_len) {
-    return "decompressed " + std::to_string(out->size()) + " bytes, block declares " +
+  if (o != raw_len) {
+    out->resize(o);
+    return "decompressed " + std::to_string(o) + " bytes, block declares " +
            std::to_string(raw_len);
   }
   return "";

@@ -140,13 +140,17 @@ std::string QueryEpochWindow(StoreReader& reader, std::size_t run_ordinal,
     return "run " + std::to_string(run_ordinal) + " out of range (" +
            std::to_string(reader.runs().size()) + " runs)";
   }
+  std::string err;
+  const std::size_t start =
+      reader.FindBlockForEpoch(run_ordinal, epoch_lo, &err);
+  if (!err.empty()) return err;
+  if (start == kNoBlock) return "";  // window beyond the run's last epoch
   const StoredRun& run = reader.runs()[run_ordinal];
   std::vector<TraceEvent> events;
-  for (std::size_t b = 0; b < run.n_blocks; ++b) {
-    const std::string err = reader.ReadBlock(run.first_block + b, &events);
+  for (std::size_t b = start; b < run.first_block + run.n_blocks; ++b) {
+    err = reader.ReadBlock(b, &events, EventKind::kEpoch);
     if (!err.empty()) return err;
     for (const TraceEvent& e : events) {
-      if (e.kind != EventKind::kEpoch) continue;
       if (e.frame > epoch_hi) return "";  // epochs are monotone
       if (e.frame >= epoch_lo) out->push_back(e);
     }

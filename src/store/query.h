@@ -2,10 +2,13 @@
 // query`/`serve` answer path. Summarize() and BlockTimeseriesCsv() read
 // only the footer index — zero block decodes regardless of trace size.
 // The window queries decode just the blocks that can overlap the request:
-// a frame window starts at FindBlockForFrame (O(log n) seek) and stops at
-// the first frame past the window; an epoch window stops at the first
-// epoch past the window. Both seed their cumulative counters from the
-// preceding block's footer entry instead of replaying the run prefix.
+// a frame window starts at FindBlockForFrame (O(log n) seek over the
+// footer) and stops at the first frame past the window; an epoch window
+// starts at FindBlockForEpoch (O(log n) seek over the run's epoch index,
+// built by the run's first epoch query) and stops at the first epoch past
+// the window, decoding only kEpoch events. A frame window seeds its
+// cumulative counters from the preceding block's footer entry instead of
+// replaying the run prefix.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +68,10 @@ std::string QueryFrameWindow(StoreReader& reader, std::size_t run_ordinal,
                              WindowSeed* seed);
 
 // kEpoch events of `run_ordinal` with epoch index in [epoch_lo, epoch_hi].
-// Stops decoding at the first epoch past the window. Returns "" on success.
+// Seeks to the first block that can hold epoch_lo and stops decoding at
+// the first epoch past the window. The run's first epoch query builds its
+// epoch index and fails on a corrupt block anywhere in the run. Returns
+// "" on success.
 std::string QueryEpochWindow(StoreReader& reader, std::size_t run_ordinal,
                              std::uint64_t epoch_lo, std::uint64_t epoch_hi,
                              std::vector<trace::TraceEvent>* out);

@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <random>
 #include <unistd.h>
 #include <string>
 #include <thread>
@@ -132,6 +135,212 @@ TEST(Lz, DecompressFailsClosed) {
     std::string bad = comp;
     bad[i] = static_cast<char>(bad[i] ^ 0xff);
     (void)LzDecompress(bad, raw.size(), &out);
+  }
+}
+
+TEST(Lz, OverlappingMatchReplicatesItsPeriod) {
+  // 'a', then a dist-1 match of 999 bytes (code 995 = 15 + 255*3 + 215):
+  // each copied byte is one the same match just produced.
+  std::string comp = {static_cast<char>(1 << 4 | 15), 'a', 1, 0};
+  comp += std::string(3, static_cast<char>(0xFF));
+  comp += static_cast<char>(215);
+  comp += '\0';  // final, literals-only sequence
+  std::string out;
+  ASSERT_EQ(LzDecompress(comp, 1000, &out), "");
+  EXPECT_EQ(out, std::string(1000, 'a'));
+
+  // Period 3, overlapping: "abc" then a dist-3 match of 9 bytes.
+  const std::string period = {static_cast<char>(3 << 4 | 5), 'a', 'b', 'c',
+                              3, 0};
+  ASSERT_EQ(LzDecompress(period, 12, &out), "");
+  EXPECT_EQ(out, "abcabcabcabc");
+}
+
+TEST(Lz, MatchAsLongAsItsDistanceEndsAtDeclaredSize) {
+  // dist == len: the source ends exactly where the copy starts. The
+  // stream ends after the match, so the match itself ends at raw_len.
+  const std::string comp = {static_cast<char>(4 << 4 | 0), 'a', 'b', 'c',
+                            'd', 4, 0};
+  std::string out;
+  ASSERT_EQ(LzDecompress(comp, 8, &out), "");
+  EXPECT_EQ(out, "abcdabcd");
+  // One byte short of the match: fails on the overflow check, with the
+  // output trimmed to the literals produced before it.
+  EXPECT_EQ(LzDecompress(comp, 7, &out),
+            "match overflows declared size at compressed offset 7");
+  EXPECT_EQ(out, "abcd");
+  // One byte more declared than the stream makes.
+  EXPECT_EQ(LzDecompress(comp, 9, &out),
+            "decompressed 8 bytes, block declares 9");
+}
+
+TEST(Lz, DecompressErrorMessagesArePinned) {
+  std::string out;
+  const std::string lits = {static_cast<char>(4 << 4 | 0), 'a', 'b', 'c',
+                            'd', 4, 0};
+  EXPECT_EQ(LzDecompress(lits.substr(0, 3), 8, &out),
+            "truncated literals at compressed offset 1");
+  EXPECT_EQ(LzDecompress(lits.substr(0, 6), 8, &out),
+            "truncated match offset at compressed offset 5");
+  EXPECT_EQ(LzDecompress(lits, 3, &out),
+            "literal run overflows declared size at compressed offset 1");
+  const std::string far = {static_cast<char>(4 << 4 | 0), 'a', 'b', 'c',
+                           'd', 5, 0};
+  EXPECT_EQ(LzDecompress(far, 8, &out),
+            "match offset outside produced output at compressed offset 5");
+  const std::string ext = {static_cast<char>(15 << 4 | 0),
+                           static_cast<char>(0xFF)};
+  EXPECT_EQ(LzDecompress(ext, 300, &out),
+            "truncated length extension at compressed offset 2");
+  const std::string match_ext = {static_cast<char>(1 << 4 | 15), 'a', 1, 0};
+  EXPECT_EQ(LzDecompress(match_ext, 300, &out),
+            "truncated length extension at compressed offset 4");
+  EXPECT_EQ(LzDecompress("", 1, &out),
+            "empty compressed block for nonzero size");
+}
+
+// ------------------------------------------------------------- CRC --
+
+// Bytewise reference CRC-32 (reflected 0xEDB88320), kept here so the
+// table-driven implementation is checked against the definition.
+std::uint32_t ReferenceCrc32(std::string_view bytes, std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    c ^= static_cast<std::uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(Crc32("", 0xDEADBEEFu), 0xDEADBEEFu);
+  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"),
+            0x414FA339u);
+}
+
+TEST(Crc32, SeedChainsAcrossSplits) {
+  const std::string text = "column-major trace blocks, CRC-checked on read";
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    const std::string_view a = std::string_view(text).substr(0, cut);
+    const std::string_view b = std::string_view(text).substr(cut);
+    EXPECT_EQ(Crc32(b, Crc32(a)), Crc32(text)) << "cut " << cut;
+  }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  std::string buf;
+  std::uint64_t state = 0x2545F4914F6CDD1Dull;
+  for (int i = 0; i < 64; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    buf.push_back(static_cast<char>(state >> 56));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 40; ++len) {
+      const std::string_view bytes = std::string_view(buf).substr(offset, len);
+      EXPECT_EQ(Crc32(bytes), ReferenceCrc32(bytes))
+          << "offset " << offset << " len " << len;
+      EXPECT_EQ(Crc32(bytes, 0x12345678u), ReferenceCrc32(bytes, 0x12345678u))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+// ----------------------------------------------------- block codec --
+
+trace::TraceFile GoldenSoak() {
+  trace::TraceFile file;
+  EXPECT_EQ(trace::ReadTraceFile(
+                std::string(ANC_GOLDEN_DIR) + "/soak_smoke.trace", &file),
+            "");
+  return file;
+}
+
+// The golden's events cut into blocks of `block_events`, run by run.
+std::vector<std::vector<trace::TraceEvent>> GoldenBlocks(
+    std::size_t block_events) {
+  std::vector<std::vector<trace::TraceEvent>> blocks;
+  for (const trace::RunTrace& run : GoldenSoak().runs) {
+    for (std::size_t i = 0; i < run.events.size(); i += block_events) {
+      const std::size_t end = std::min(run.events.size(), i + block_events);
+      blocks.emplace_back(run.events.begin() + i, run.events.begin() + end);
+    }
+  }
+  return blocks;
+}
+
+TEST(StoreContainer, BlockPayloadBytesArePinned) {
+  // FNV-1a over the columnar payloads of the committed soak golden: pins
+  // the codec's byte order and per-kind clock deltas, so a faster encoder
+  // must stay byte-identical.
+  const auto digest = [](std::size_t block_events) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const auto& block : GoldenBlocks(block_events)) {
+      for (const char c : EncodeBlockPayload(block)) {
+        h ^= static_cast<std::uint8_t>(c);
+        h *= 0x100000001b3ull;
+      }
+    }
+    return h;
+  };
+  EXPECT_EQ(digest(256), 0x6d601b9cd22f75b6ull);
+  EXPECT_EQ(digest(4096), 0x930a7cbe52ce26c2ull);
+}
+
+TEST(StoreContainer, ProjectedDecodeKeepsOneKindInStreamOrder) {
+  for (const auto& block : GoldenBlocks(256)) {
+    const std::string raw = EncodeBlockPayload(block);
+    std::vector<trace::TraceEvent> got;
+    ASSERT_EQ(DecodeBlockPayload(raw, block.size(), &got), "");
+    ASSERT_EQ(got, block);
+    for (std::uint8_t k = 1; k <= 13; ++k) {
+      const auto kind = static_cast<trace::EventKind>(k);
+      std::vector<trace::TraceEvent> want;
+      for (const trace::TraceEvent& e : block) {
+        if (e.kind == kind) want.push_back(e);
+      }
+      ASSERT_EQ(DecodeBlockPayload(raw, block.size(), &got, kind), "");
+      EXPECT_EQ(got, want) << trace::KindName(kind);
+    }
+  }
+}
+
+TEST(StoreContainer, DecodeErrorsArePinnedAndSurviveProjection) {
+  // One kSlot event at reader 0, slot 0, frame 0: count, kind, reader,
+  // slot delta, frame delta, then its outcome byte and responders varint.
+  trace::TraceEvent e;
+  e.kind = trace::EventKind::kSlot;
+  e.outcome = trace::SlotOutcome::kCollision;
+  e.responders = 3;
+  const std::string raw = EncodeBlockPayload({e});
+  ASSERT_EQ(raw, std::string({1, 1, 0, 0, 0, 2, 3}));
+
+  std::string bad_field = raw;
+  bad_field[5] = 7;
+  std::string bad_kind = raw;
+  bad_kind[1] = 0;
+  const struct {
+    std::string bytes;
+    std::uint64_t expect_events;
+    const char* error;
+  } cases[] = {
+      {bad_field, 1, "field value 7 out of range for slot"},
+      {raw.substr(0, 6), 1, "truncated field columns"},
+      {raw + "x", 1, "1 trailing bytes after block payload"},
+      {raw.substr(0, 4), 1, "truncated reader/slot/frame columns"},
+      {raw.substr(0, 1), 1, "truncated kind column"},
+      {bad_kind, 1, "invalid event kind 0 in kind column"},
+      {raw, 2, "block declares 1 events, index says 2"},
+      {"", 0, "truncated block payload header"},
+      {std::string({3, 1}), 3, "event count exceeds payload size"},
+  };
+  for (const auto& c : cases) {
+    std::vector<trace::TraceEvent> out;
+    EXPECT_EQ(DecodeBlockPayload(c.bytes, c.expect_events, &out), c.error);
+    EXPECT_EQ(DecodeBlockPayload(c.bytes, c.expect_events, &out,
+                                 trace::EventKind::kEpoch),
+              c.error);
   }
 }
 
@@ -449,6 +658,243 @@ TEST(StoreQuery, EpochWindowMatchesFullDecode) {
     EXPECT_EQ(got[i], epochs[i + 1]);
   }
   std::remove(path.c_str());
+}
+
+// Window-query properties: every query must return what a full decode of
+// its run gives under the query's documented semantics, over seeded
+// random windows plus the edge cases.
+
+struct Window {
+  std::size_t run;
+  std::uint64_t lo, hi;
+};
+
+std::vector<Window> SeededWindows(std::size_t n_runs, std::uint64_t max_value,
+                                  std::uint64_t seed) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::vector<Window> windows;
+  for (std::size_t run = 0; run < n_runs; ++run) {
+    windows.push_back({run, 0, 0});
+    windows.push_back({run, 0, max_value});
+    windows.push_back({run, 0, kMax});
+    windows.push_back({run, 3, 1});                  // lo > hi
+    windows.push_back({run, max_value + 1, kMax});   // past the last one
+    windows.push_back({run, kMax, kMax});
+  }
+  std::mt19937_64 rng(seed);
+  while (windows.size() < 200) {
+    const std::size_t run = rng() % n_runs;
+    const std::uint64_t lo = rng() % (max_value + 3);
+    std::uint64_t hi = 0;
+    switch (rng() % 4) {
+      case 0: hi = lo + rng() % 8; break;
+      case 1: hi = lo + rng() % (max_value + 3); break;
+      case 2: hi = lo - 1 - rng() % 3; break;  // lo > hi (wraps at lo < 3)
+      default: hi = kMax; break;
+    }
+    windows.push_back({run, lo, hi});
+  }
+  return windows;
+}
+
+bool FrameBearingKind(trace::EventKind kind) {
+  return kind != trace::EventKind::kEpoch &&
+         kind != trace::EventKind::kTdmaSlot &&
+         kind != trace::EventKind::kRunEnd;
+}
+
+bool ChurnKind(trace::EventKind kind) {
+  return kind == trace::EventKind::kArrive ||
+         kind == trace::EventKind::kDepart ||
+         kind == trace::EventKind::kDetect;
+}
+
+// Checks every seeded window of `reader` against `file`, the same trace
+// decoded in full.
+void ExpectWindowsMatchFullDecode(StoreReader& reader,
+                                  const trace::TraceFile& file) {
+  std::uint64_t max_epoch = 0, max_frame = 0;
+  for (const trace::RunTrace& run : file.runs) {
+    for (const trace::TraceEvent& e : run.events) {
+      if (e.kind == trace::EventKind::kEpoch) {
+        max_epoch = std::max(max_epoch, e.frame);
+      } else if (FrameBearingKind(e.kind)) {
+        max_frame = std::max(max_frame, e.frame);
+      }
+    }
+  }
+  ASSERT_GT(max_epoch, 2u);
+  std::vector<trace::TraceEvent> got;
+  for (const Window& w : SeededWindows(file.runs.size(), max_epoch, 7)) {
+    std::vector<trace::TraceEvent> want;
+    for (const trace::TraceEvent& e : file.runs[w.run].events) {
+      if (e.kind == trace::EventKind::kEpoch && e.frame >= w.lo &&
+          e.frame <= w.hi) {
+        want.push_back(e);
+      }
+    }
+    ASSERT_EQ(QueryEpochWindow(reader, w.run, w.lo, w.hi, &got), "");
+    EXPECT_EQ(got, want) << "epochs run " << w.run << " [" << w.lo << ","
+                         << w.hi << "]";
+  }
+  for (const Window& w : SeededWindows(file.runs.size(), max_frame, 11)) {
+    // A frame window stops at the first frame-bearing event past it.
+    // Churn events carry inventory rounds in `frame`, so that scan and a
+    // plain filter agree on the protocol events only.
+    std::vector<trace::TraceEvent> scan, protocol;
+    bool past = false;
+    for (const trace::TraceEvent& e : file.runs[w.run].events) {
+      if (!FrameBearingKind(e.kind)) continue;
+      past |= e.frame > w.hi;
+      const bool in = e.frame >= w.lo && e.frame <= w.hi;
+      if (!past && in) scan.push_back(e);
+      if (in && !ChurnKind(e.kind)) protocol.push_back(e);
+    }
+    WindowSeed seed;
+    ASSERT_EQ(QueryFrameWindow(reader, w.run, w.lo, w.hi, &got, &seed), "");
+    EXPECT_EQ(got, scan) << "frames run " << w.run << " [" << w.lo << ","
+                         << w.hi << "]";
+    std::vector<trace::TraceEvent> got_protocol;
+    for (const trace::TraceEvent& e : got) {
+      if (!ChurnKind(e.kind)) got_protocol.push_back(e);
+    }
+    EXPECT_EQ(got_protocol, protocol);
+  }
+}
+
+TEST(StoreQuery, SeededWindowsMatchFullDecode) {
+  const trace::TraceFile file = RecordSoak(2);
+  // 16- and 64-event blocks leave most blocks without an epoch, so
+  // windows straddle block edges; 4096 puts a run in one block.
+  for (const std::size_t block_events : {16, 64, 4096}) {
+    SCOPED_TRACE("block_events " + std::to_string(block_events));
+    const std::string path = TempPath("anc_store_query_windows.ancstore");
+    StoreWriterOptions options;
+    options.block_events = block_events;
+    ASSERT_EQ(WriteStoreFile(path, file, options), "");
+    StoreReader reader;
+    ASSERT_EQ(reader.Open(path), "");
+    ExpectWindowsMatchFullDecode(reader, file);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(StoreQuery, SeededWindowsMatchFullDecodeOnLegacyV1) {
+  // The committed v1 golden reads through pseudo-blocks.
+  StoreReader reader;
+  ASSERT_EQ(reader.Open(std::string(ANC_GOLDEN_DIR) + "/soak_smoke.trace"),
+            "");
+  ASSERT_TRUE(reader.legacy());
+  ExpectWindowsMatchFullDecode(reader, GoldenSoak());
+}
+
+TEST(StoreQuery, EpochWindowOnEmptyRunIsEmpty) {
+  trace::TraceFile file;
+  file.runs.resize(1);
+  file.runs[0].header.protocol = "empty";
+  const std::string path = TempPath("anc_store_query_empty.ancstore");
+  ASSERT_EQ(WriteStoreFile(path, file), "");
+  StoreReader reader;
+  ASSERT_EQ(reader.Open(path), "");
+  ASSERT_EQ(reader.runs().size(), 1u);
+  std::vector<trace::TraceEvent> got;
+  EXPECT_EQ(QueryEpochWindow(reader, 0, 0,
+                             std::numeric_limits<std::uint64_t>::max(), &got),
+            "");
+  EXPECT_TRUE(got.empty());
+  std::string err;
+  EXPECT_EQ(reader.FindBlockForEpoch(0, 0, &err), kNoBlock);
+  EXPECT_EQ(err, "");
+  std::remove(path.c_str());
+}
+
+TEST(StoreQuery, EpochWindowDecodesOnlyTheBlocksItSpans) {
+  // 40 epochs, each after 20-119 slot events: with 128-event blocks every
+  // block holds an epoch, so a window of w epochs spans at most w + 2
+  // blocks once the run's epoch index exists.
+  trace::TraceFile file;
+  file.runs.resize(1);
+  file.runs[0].header.protocol = "dense-epochs";
+  std::uint64_t slot = 0;
+  for (std::uint64_t epoch = 1; epoch <= 40; ++epoch) {
+    for (std::uint64_t i = 0; i < 20 + epoch * 37 % 100; ++i) {
+      trace::TraceEvent e;
+      e.slot = ++slot;
+      e.frame = epoch;
+      file.runs[0].events.push_back(e);
+    }
+    trace::TraceEvent e;
+    e.kind = trace::EventKind::kEpoch;
+    e.slot = slot;
+    e.frame = epoch;
+    file.runs[0].events.push_back(e);
+  }
+  const std::string path = TempPath("anc_store_query_dense.ancstore");
+  StoreWriterOptions options;
+  options.block_events = 128;
+  ASSERT_EQ(WriteStoreFile(path, file, options), "");
+  StoreReader reader;
+  ASSERT_EQ(reader.Open(path), "");
+  const std::size_t n_blocks = reader.runs()[0].n_blocks;
+  ASSERT_GT(n_blocks, 20u);
+
+  std::vector<trace::TraceEvent> got;
+  ASSERT_EQ(QueryEpochWindow(reader, 0, 20, 20, &got), "");
+  ASSERT_EQ(got.size(), 1u);
+  // The first query pays for the index: one decode per block of the run.
+  const std::uint64_t after_index = reader.blocks_decoded();
+  EXPECT_GE(after_index, n_blocks);
+  EXPECT_LE(after_index, n_blocks + 3);
+
+  for (std::uint64_t lo = 1; lo <= 41; ++lo) {
+    for (std::uint64_t w = 1; w <= 8; ++w) {
+      const std::uint64_t before = reader.blocks_decoded();
+      ASSERT_EQ(QueryEpochWindow(reader, 0, lo, lo + w - 1, &got), "");
+      EXPECT_EQ(got.size(), lo > 40 ? 0 : std::min<std::uint64_t>(w, 41 - lo));
+      EXPECT_LE(reader.blocks_decoded() - before, w + 2)
+          << "[" << lo << "," << lo + w - 1 << "]";
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StoreQuery, EpochWindowFailsClosedOnCorruptBlockBeforeIt) {
+  CorruptionCase c;
+  StoreReader clean;
+  ASSERT_EQ(clean.Open(c.path), "");
+  ASSERT_GT(clean.runs()[0].n_blocks, 2u);
+  std::vector<trace::TraceEvent> epochs;
+  for (const trace::TraceEvent& e : c.file.runs[0].events) {
+    if (e.kind == trace::EventKind::kEpoch) epochs.push_back(e);
+  }
+  ASSERT_GT(epochs.size(), 1u);
+  const std::uint64_t last = epochs.back().frame;
+  std::string err;
+  const std::size_t window_block = clean.FindBlockForEpoch(0, last, &err);
+  ASSERT_EQ(err, "");
+  ASSERT_GT(window_block, 0u);
+
+  // A repeat query on one reader answers the same.
+  std::vector<trace::TraceEvent> first, again;
+  ASSERT_EQ(QueryEpochWindow(clean, 0, last, last, &first), "");
+  ASSERT_EQ(QueryEpochWindow(clean, 0, last, last, &again), "");
+  EXPECT_EQ(first, again);
+  EXPECT_EQ(first, std::vector<trace::TraceEvent>{epochs.back()});
+
+  // Damage block 0, before the window's block: the first epoch query
+  // still fails, and so does every repeat.
+  const BlockMeta& b = clean.blocks()[0];
+  std::string bad = c.bytes;
+  bad[b.offset + b.comp_len / 2] ^= 0x01;
+  Spit(c.path, bad);
+  StoreReader reader;
+  ASSERT_EQ(reader.Open(c.path), "");
+  std::vector<trace::TraceEvent> got;
+  const std::string want = "block 0: payload CRC mismatch (corrupt data)";
+  EXPECT_EQ(QueryEpochWindow(reader, 0, last, last, &got), want);
+  EXPECT_EQ(QueryEpochWindow(reader, 0, last, last, &got), want);
+  EXPECT_EQ(reader.FindBlockForEpoch(0, last, &err), kNoBlock);
+  EXPECT_EQ(err, want);
 }
 
 // --------------------------------------------------------- snapshot --
